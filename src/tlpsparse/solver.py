@@ -147,8 +147,11 @@ def rearrange(x) -> tuple[np.ndarray, np.ndarray]:
 
 def tail_magnitude(x, s: int) -> float:
     """The (s+1)-th largest magnitude of x — distance from s-sparsity."""
-    r = np.sort(np.abs(np.asarray(x, dtype=float)))
-    return float(r[-(s + 1)])
+    r = np.abs(np.asarray(x, dtype=float))
+    k = r.size - (s + 1)
+    if k < 0:
+        raise IndexError(f"sparsity s={s} must be below len(x)={r.size}")
+    return float(np.partition(r, k)[k])
 
 
 def grad_phi_w(params: PenaltyParams, w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -193,40 +196,78 @@ def grad_f_w(A, y, params: PenaltyParams, lam: float, w: np.ndarray,
         - lam * (a + 1.0) * grad_phi_w(params, w, x) + lin
 
 
-class _SpdSolver:
-    """Solves (A^T A + diag(d)) x = rhs, directly or via the m x m dual.
+def _route(M: int, N: int) -> str:
+    """SPD route for an M x N matrix: the one with fewer factor flops.
 
-    The dual route (matrix-inversion identity) factors
-    I + A diag(1/d) A^T instead of the full N x N system and is used when
-    M < N/4; both routes agree to solver precision.  ``gram`` lets outer
-    loops reuse a precomputed A^T A across refactorizations.
+    The dual forms A D^-1 A^T (2 M^2 N flops) and factors it (M^3/3); the
+    direct route factors the N x N system (N^3/3) from a precomputed Gram
+    matrix, so it wins only for nearly square A.
+    """
+    return "woodbury" if 6 * M * M * N + M ** 3 < N ** 3 else "direct"
+
+
+def _cho_factor_spd(B: np.ndarray):
+    """Cholesky factor of the SPD matrix B.
+
+    If B is numerically singular, a ridge of 1e-12 trace(B) is added to its
+    diagonal in place, with a RuntimeWarning, and B is factored again.
+    """
+    try:
+        return cho_factor(B, check_finite=False)
+    except LinAlgError:
+        warnings.warn("SPD system is numerically singular; adding a tiny "
+                      "ridge", RuntimeWarning, stacklevel=3)
+        B[np.diag_indices_from(B)] += 1e-12 * float(np.trace(B))
+        return cho_factor(B, check_finite=False)
+
+
+class _SpdSolver:
+    """Solves (A^T A + diag(d)) x = A^T y + v, directly or via the m x m dual.
+
+    ``y`` is fixed at construction (0 when omitted) and ``solve(v)`` takes
+    the rest of the right-hand side.  The direct route factors the N x N
+    system; ``gram`` lets outer loops reuse a precomputed A^T A.  The dual
+    route factors G = I + A D^-1 A^T and solves in residual form: with
+    r = y - A x,
+
+        G r = y - A D^-1 v,    x = D^-1 (v + A^T r).
+
+    The inversion-identity form u - D^-1 A^T G^-1 A u (u = D^-1 rhs)
+    subtracts two vectors of size |D^-1 A^T y| to get x, which loses about
+    log10(max 1/d) digits when some d are tiny, as on the support in every
+    reweighting step.  The residual form computes the small r instead and
+    keeps the backward error near machine precision there, at the same
+    cost.  ``method="auto"`` takes the route with fewer factor flops
+    (``_route``).
     """
 
     def __init__(self, A: np.ndarray, d: np.ndarray, method: str = "auto",
-                 gram: np.ndarray | None = None):
-        M, N = A.shape
+                 gram: np.ndarray | None = None,
+                 y: np.ndarray | None = None):
         if method == "auto":
-            method = "woodbury" if 4 * M < N else "direct"
+            method = _route(*A.shape)
         self.method = method
         self._A = A
         if method == "direct":
             B = (A.T @ A) if gram is None else gram.copy()
             B[np.diag_indices_from(B)] += d
-            self._factor = cho_factor(B, check_finite=False)
+            self._factor = _cho_factor_spd(B)
+            self._Aty = 0.0 if y is None else A.T @ y
         elif method == "woodbury":
             self._dinv = 1.0 / d
+            self._y = 0.0 if y is None else y
             G = (A * self._dinv) @ A.T
             G[np.diag_indices_from(G)] += 1.0
-            self._factor = cho_factor(G, check_finite=False)
+            self._factor = _cho_factor_spd(G)
         else:
             raise ValueError(f"unknown solve method {method!r}")
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, v: np.ndarray) -> np.ndarray:
         if self.method == "direct":
-            return cho_solve(self._factor, rhs, check_finite=False)
-        u = self._dinv * rhs
-        return u - self._dinv * (self._A.T @ cho_solve(
-            self._factor, self._A @ u, check_finite=False))
+            return cho_solve(self._factor, self._Aty + v, check_finite=False)
+        r = cho_solve(self._factor, self._y - self._A @ (self._dinv * v),
+                      check_finite=False)
+        return self._dinv * (v + self._A.T @ r)
 
 
 def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
@@ -255,15 +296,14 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
     lam, c = cfg.lam, cfg.c
     coef = 2.0 * lam * (a + 1.0) / a
     solver = _SpdSolver(A, 2.0 * c + coef * w, method=solve_method,
-                        gram=gram)
-    Aty = A.T @ y
+                        gram=gram, y=y)
     x = np.zeros(A.shape[1]) if x_init is None else np.array(x_init, dtype=float)
     trace = [f_w_value(A, y, params, lam, w, x)]
     iters = 0
     converged = False
     for _ in range(cfg.inner_max):
         v = lam * (a + 1.0) * grad_phi_w(params, w, x) + 2.0 * c * x
-        x_new = solver.solve(Aty + v)
+        x_new = solver.solve(v)
         step = float(np.max(np.abs(x_new - x)))
         x = x_new
         iters += 1
@@ -282,6 +322,8 @@ def _check_problem(A: np.ndarray, y: np.ndarray, cfg: SolverConfig) -> None:
         raise ValueError(f"y has length {y.size}, expected {A.shape[0]}")
     if cfg.s >= A.shape[1]:
         raise ValueError(f"target sparsity s={cfg.s} must be below N={A.shape[1]}")
+    if not (np.isfinite(A).all() and np.isfinite(y).all()):
+        raise ValueError("A and y must be finite")
 
 
 def irls_tlp(A, y, params: PenaltyParams, cfg: SolverConfig) -> SolveResult:
@@ -299,7 +341,7 @@ def irls_tlp(A, y, params: PenaltyParams, cfg: SolverConfig) -> SolveResult:
     _check_problem(A, y, cfg)
     M, N = A.shape
     p = params.p
-    gram = A.T @ A if 4 * M >= N else None
+    gram = A.T @ A if _route(M, N) == "direct" else None
 
     x = np.zeros(N)
     eps = cfg.eps0
@@ -372,15 +414,7 @@ def j_functional(params: PenaltyParams, x: np.ndarray, omega: np.ndarray,
 
 def _constrained_ls(A: np.ndarray, y: np.ndarray, dvec: np.ndarray) -> np.ndarray:
     # min sum x_i^2 / dvec_i  s.t.  Ax = y, via x = D A^T (A D A^T)^{-1} y
-    ADAt = (A * dvec) @ A.T
-    try:
-        factor = cho_factor(ADAt)
-    except LinAlgError:
-        warnings.warn("A D A^T is rank deficient; adding a tiny ridge",
-                      RuntimeWarning, stacklevel=2)
-        ridge = 1e-12 * float(np.trace(ADAt))
-        ADAt[np.diag_indices_from(ADAt)] += ridge
-        factor = cho_factor(ADAt)
+    factor = _cho_factor_spd((A * dvec) @ A.T)
     return dvec * (A.T @ cho_solve(factor, y))
 
 
@@ -520,8 +554,8 @@ def irls_lq_baseline(A, y, q: float, cfg: SolverConfig) -> SolveResult:
     obj_trace: list[float] = []
     eps_trace: list[float] = []
     w_inf_trace: list[float] = []
-    Aty = A.T @ y
-    gram = A.T @ A if 4 * A.shape[0] >= N else None
+    gram = A.T @ A if _route(*A.shape) == "direct" else None
+    zero = np.zeros(N)
 
     for _ in range(cfg.outer_max):
         epspow = eps ** cfg.kappa
@@ -531,7 +565,7 @@ def irls_lq_baseline(A, y, q: float, cfg: SolverConfig) -> SolveResult:
         eps_trace.append(eps)
         w = (x * x + epspow) ** ((q - 2.0) / 2.0)
         w_inf_trace.append(float(np.max(w)))
-        x = _SpdSolver(A, 2.0 * cfg.lam * w, gram=gram).solve(Aty)
+        x = _SpdSolver(A, 2.0 * cfg.lam * w, gram=gram, y=y).solve(zero)
         outer += 1
 
         tail = tail_magnitude(x, cfg.s)

@@ -119,6 +119,24 @@ def test_a5_dca_descent():
             f"max relative f_w uptick {worst:.2e} <= 1e-10 over 50 instances")
 
 
+def test_a5_dca_descent_dual_route():
+    # A5 at 32 x 128, which the solver factors in its m x m dual form
+    rng = np.random.default_rng(MASTER_SEED + 55)
+    worst = -np.inf
+    for _ in range(50):
+        A = rng.standard_normal((32, 128))
+        y = rng.standard_normal(32)
+        w = np.exp(rng.uniform(-2.3, 2.3, 128))
+        params = PenaltyParams(rng.uniform(0.3, 5.0), rng.uniform(0.3, 1.0))
+        cfg = SolverConfig(s=1, lam=1e-3, inner_max=40)
+        f = dca_subproblem(A, y, params, w, cfg).f_trace
+        upticks = np.diff(f) / np.maximum(np.abs(f[:-1]), 1e-300)
+        worst = max(worst, float(upticks.max()))
+    _report("A5-dual", worst <= 1e-10,
+            f"max relative f_w uptick {worst:.2e} <= 1e-10 over 50 "
+            f"instances at 32 x 128")
+
+
 def test_a6_gradient_oracle():
     rng = np.random.default_rng(MASTER_SEED + 6)
     h = 1e-6

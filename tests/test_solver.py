@@ -6,9 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from tlpsparse.penalty import PenaltyParams, penalty_tlp
 from tlpsparse.sensing import gen_gaussian, gen_signal
-from tlpsparse.solver import (SolverConfig, WeightState, _SpdSolver,
-                              dca_subproblem, f_w_value, grad_f_w,
-                              grad_phi_w, irls_constrained,
+from tlpsparse.solver import (SolverConfig, WeightState, _route,
+                              _SpdSolver, dca_subproblem, f_w_value,
+                              grad_f_w, grad_phi_w, irls_constrained,
                               irls_lq_baseline, irls_tlp, j_closed_form,
                               j_functional, phi_w, rearrange,
                               tail_magnitude)
@@ -40,6 +40,23 @@ class TestRearrange:
         assert np.all(np.diff(r) <= 0)
         for j in range(len(x)):
             assert tail[j] == pytest.approx(r[j:].sum(), rel=1e-12, abs=1e-12)
+
+
+class TestTailMagnitude:
+    @given(st.data())
+    def test_matches_sort_definition(self, data):
+        # ties and signed zeros come from the sampled values; s spans 0..N-1
+        x = data.draw(arrays(np.float64, st.integers(1, 12), elements=(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5])
+            | st.floats(-100, 100))))
+        s = data.draw(st.integers(0, x.size - 1))
+        want = np.sort(np.abs(x))[-(s + 1)]
+        assert tail_magnitude(x, s) == want
+        assert tail_magnitude(x, x.size - 1) == np.min(np.abs(x))
+
+    def test_rejects_s_at_length(self):
+        with pytest.raises(IndexError):
+            tail_magnitude([1.0, 2.0], 2)
 
 
 class TestGradPhi:
@@ -174,6 +191,95 @@ class TestSpdSystem:
                           np.ones(40)).method == "woodbury"
         assert _SpdSolver(rng.standard_normal((5, 12)),
                           np.ones(12)).method == "direct"
+
+
+def _dca_like_system(rng, M, N, s):
+    """d tiny (1e-6..1e-4) on a support of size s and huge (1e4..1e14)
+    elsewhere, y in the range of the support columns and v small: the
+    shape of a late reweighting step."""
+    A = rng.standard_normal((M, N)) / np.sqrt(M)
+    S = rng.choice(N, s, replace=False)
+    d = 10.0 ** rng.uniform(4, 14, N)
+    d[S] = 10.0 ** rng.uniform(-6, -4, s)
+    x = np.zeros(N)
+    x[S] = rng.standard_normal(s)
+    v = np.zeros(N)
+    v[S] = 1e-6 * rng.standard_normal(s)
+    return A, d, A @ x, v
+
+
+class TestSpdRoutes:
+    def test_route_rule(self):
+        # dual iff 2 M^2 N + M^3/3 < N^3/3: the acceptance and wide shapes
+        # take it, square and nearly square matrices do not
+        assert _route(64, 256) == _route(256, 1024) == "woodbury"
+        assert _route(100, 1500) == _route(16, 64) == "woodbury"
+        assert _route(64, 64) == _route(64, 128) == "direct"
+
+    def test_backward_residual_both_routes(self):
+        rng = np.random.default_rng(41)
+        for s in (8, 63, 100):
+            for _ in range(3):
+                A, d, y, v = _dca_like_system(rng, 64, 256, s)
+                b = A.T @ y + v
+                for method in ("direct", "woodbury"):
+                    x = _SpdSolver(A, d, method=method, y=y).solve(v)
+                    res = A.T @ (A @ x) + d * x - b
+                    scale = (np.linalg.norm(A, 2) ** 2 * np.linalg.norm(x)
+                             + np.linalg.norm(d * x) + np.linalg.norm(b))
+                    assert np.linalg.norm(res) <= 1e-13 * scale, (s, method)
+
+    def test_dca_same_on_both_routes(self):
+        # 16 x 64 takes the dual route under "auto"; forcing either route
+        # must give the same iteration count and iterates within 1e-9
+        rng = np.random.default_rng(37)
+        params = PenaltyParams(1.0, 0.7)
+        cfg = SolverConfig(s=5, inner_max=40)
+        for _ in range(10):
+            A = rng.standard_normal((16, 64))
+            S = rng.choice(64, 5, replace=False)
+            truth = np.zeros(64)
+            truth[S] = rng.standard_normal(5)
+            w = 10.0 ** rng.uniform(0, 12, 64)
+            w[S] = 10.0 ** rng.uniform(-1, 0, 5)
+            direct = dca_subproblem(A, A @ truth, params, w, cfg,
+                                    solve_method="direct")
+            dual = dca_subproblem(A, A @ truth, params, w, cfg,
+                                  solve_method="woodbury")
+            assert direct.iters == dual.iters
+            assert np.max(np.abs(direct.x - dual.x)) <= \
+                1e-9 * max(1.0, float(np.max(np.abs(direct.x))))
+
+    def test_singular_system_gets_ridge_and_warns(self):
+        # a zero column makes A^T A exactly singular; with d = 0 the direct
+        # Cholesky factorization fails and the ridge fallback takes over
+        rng = np.random.default_rng(47)
+        A = rng.standard_normal((6, 12))
+        A[:, 3] = 0.0
+        with pytest.warns(RuntimeWarning, match="ridge"):
+            solver = _SpdSolver(A, np.zeros(12), method="direct")
+        assert np.all(np.isfinite(solver.solve(rng.standard_normal(12))))
+
+
+SOLVERS = {
+    "tlp": lambda A, y: irls_tlp(A, y, PenaltyParams(1, 0.7),
+                                 SolverConfig(s=1)),
+    "lq": lambda A, y: irls_lq_baseline(A, y, 0.5, SolverConfig(s=1)),
+    "constrained": lambda A, y: irls_constrained(A, y, PenaltyParams(1, 0.7),
+                                                 SolverConfig(s=1)),
+}
+
+
+@pytest.mark.parametrize("solve", SOLVERS.values(), ids=SOLVERS.keys())
+def test_raw_arrays_must_be_finite(solve):
+    A, y = np.eye(3), np.ones(3)
+    for bad in (np.nan, np.inf):
+        A_bad = A.copy()
+        A_bad[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve(A_bad, y)
+        with pytest.raises(ValueError, match="finite"):
+            solve(A, np.array([1.0, bad, 1.0]))
 
 
 class TestIrlsTlp:
