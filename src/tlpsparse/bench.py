@@ -9,7 +9,11 @@ Per-trial random streams are derived from (master seed, canonical solver
 id, sparsity, trial index), so the table is a pure function of the plan:
 serial and parallel executions produce the same rows, and re-running a
 plan file reproduces it byte for byte (timing column aside — disable
-timing in the plan when byte identity matters).
+timing in the plan when byte identity matters) as long as the BLAS
+thread count stays fixed: threaded BLAS sums in a different order, which
+moves ``mean_rel_err`` in its last digits.  The solver's rank-k Gram
+update (``dsyrk``) is deterministic at a fixed thread count, so it adds
+no further condition.
 """
 
 from __future__ import annotations

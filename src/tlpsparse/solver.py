@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError, null_space
+from scipy.linalg.blas import dsyrk
 from scipy.optimize import minimize
 
 from .penalty import PenaltyParams, penalty_tlp, penalty_lp
@@ -119,9 +120,11 @@ class SolveResult:
 
 @dataclass
 class DcaResult:
-    """Inner-loop outcome: last iterate plus the recorded f_w values."""
+    """Inner-loop outcome: last iterate, its residual y - A x as the SPD
+    solve left it, and the recorded f_w values."""
 
     x: np.ndarray
+    residual: np.ndarray
     f_trace: np.ndarray
     iters: int
     converged: bool
@@ -173,13 +176,18 @@ def phi_w(params: PenaltyParams, w: np.ndarray, x: np.ndarray) -> float:
     return float(np.sum(w * ax ** (p + 2) / (a * (a + ax ** p))))
 
 
+def _f_w_res(params: PenaltyParams, lam: float, w: np.ndarray, x: np.ndarray,
+             res: np.ndarray) -> float:
+    """f_w at x given its residual res = +-(A x - y)."""
+    pen = np.sum(w * x * x / (params.a + np.abs(x) ** params.p))
+    return float(lam * (params.a + 1.0) * pen + 0.5 * (res @ res))
+
+
 def f_w_value(A, y, params: PenaltyParams, lam: float, w: np.ndarray,
               x: np.ndarray) -> float:
     """Weighted subproblem objective lam(a+1) sum w x^2/(a+|x|^p) + 1/2 res^2."""
     A = _as_array(A)
-    res = A @ x - y
-    pen = np.sum(w * x * x / (params.a + np.abs(x) ** params.p))
-    return float(lam * (params.a + 1.0) * pen + 0.5 * (res @ res))
+    return _f_w_res(params, lam, w, x, A @ x - y)
 
 
 def grad_f_w(A, y, params: PenaltyParams, lam: float, w: np.ndarray,
@@ -199,15 +207,29 @@ def grad_f_w(A, y, params: PenaltyParams, lam: float, w: np.ndarray,
 def _route(M: int, N: int) -> str:
     """SPD route for an M x N matrix: the one with fewer factor flops.
 
-    The dual forms A D^-1 A^T (2 M^2 N flops) and factors it (M^3/3); the
-    direct route factors the N x N system (N^3/3) from a precomputed Gram
-    matrix, so it wins only for nearly square A.
+    The dual forms the upper triangle of A D^-1 A^T by a rank-N update
+    (M^2 N flops) and factors it (M^3/3); the direct route factors the
+    N x N system (N^3/3) from a precomputed Gram matrix, so it wins only
+    for nearly square A.  The threshold charges the dual 2 M^2 N, a general
+    product's cost, so near the boundary it leans to the direct route:
+    64 x 128 factors 128 x 128 although the dual would take fewer flops.
     """
     return "woodbury" if 6 * M * M * N + M ** 3 < N ** 3 else "direct"
 
 
+def _scaled_gram(A: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Upper triangle of (A * scale) @ A.T for scale >= 0; zeros below.
+
+    One symmetric rank-N update on B = A * sqrt(scale): half the flops of
+    the general product.  B^T goes to BLAS with trans=1 because for a
+    C-ordered A it is already in Fortran order, so f2py makes no copy.
+    """
+    B = A * np.sqrt(scale)
+    return dsyrk(1.0, B.T, trans=1)
+
+
 def _cho_factor_spd(B: np.ndarray):
-    """Cholesky factor of the SPD matrix B.
+    """Cholesky factor of the SPD matrix B, read from its upper triangle.
 
     If B is numerically singular, a ridge of 1e-12 trace(B) is added to its
     diagonal in place, with a RuntimeWarning, and B is factored again.
@@ -238,7 +260,8 @@ class _SpdSolver:
     reweighting step.  The residual form computes the small r instead and
     keeps the backward error near machine precision there, at the same
     cost.  ``method="auto"`` takes the route with fewer factor flops
-    (``_route``).
+    (``_route``).  After each ``solve`` the attribute ``residual`` holds
+    y - A x: the dual's r, or one product on the direct route.
     """
 
     def __init__(self, A: np.ndarray, d: np.ndarray, method: str = "auto",
@@ -248,15 +271,16 @@ class _SpdSolver:
             method = _route(*A.shape)
         self.method = method
         self._A = A
+        self._y = np.zeros(A.shape[0]) if y is None else y
+        self.residual: np.ndarray | None = None
         if method == "direct":
             B = (A.T @ A) if gram is None else gram.copy()
             B[np.diag_indices_from(B)] += d
             self._factor = _cho_factor_spd(B)
-            self._Aty = 0.0 if y is None else A.T @ y
+            self._Aty = A.T @ self._y
         elif method == "woodbury":
             self._dinv = 1.0 / d
-            self._y = 0.0 if y is None else y
-            G = (A * self._dinv) @ A.T
+            G = _scaled_gram(A, self._dinv)
             G[np.diag_indices_from(G)] += 1.0
             self._factor = _cho_factor_spd(G)
         else:
@@ -264,9 +288,12 @@ class _SpdSolver:
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         if self.method == "direct":
-            return cho_solve(self._factor, self._Aty + v, check_finite=False)
+            x = cho_solve(self._factor, self._Aty + v, check_finite=False)
+            self.residual = self._y - self._A @ x
+            return x
         r = cho_solve(self._factor, self._y - self._A @ (self._dinv * v),
                       check_finite=False)
+        self.residual = r
         return self._dinv * (v + self._A.T @ r)
 
 
@@ -297,8 +324,12 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
     coef = 2.0 * lam * (a + 1.0) / a
     solver = _SpdSolver(A, 2.0 * c + coef * w, method=solve_method,
                         gram=gram, y=y)
-    x = np.zeros(A.shape[1]) if x_init is None else np.array(x_init, dtype=float)
-    trace = [f_w_value(A, y, params, lam, w, x)]
+    if x_init is None:
+        x, res = np.zeros(A.shape[1]), y
+    else:
+        x = np.array(x_init, dtype=float)
+        res = y - A @ x
+    trace = [_f_w_res(params, lam, w, x, res)]
     iters = 0
     converged = False
     for _ in range(cfg.inner_max):
@@ -306,13 +337,14 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
         x_new = solver.solve(v)
         step = float(np.max(np.abs(x_new - x)))
         x = x_new
+        res = solver.residual
         iters += 1
-        trace.append(f_w_value(A, y, params, lam, w, x))
+        trace.append(_f_w_res(params, lam, w, x, res))
         if step < cfg.inner_tol * max(float(np.max(np.abs(x))), 1.0):
             converged = True
             break
-    return DcaResult(x=x, f_trace=np.asarray(trace), iters=iters,
-                     converged=converged)
+    return DcaResult(x=x, residual=res, f_trace=np.asarray(trace),
+                     iters=iters, converged=converged)
 
 
 def _check_problem(A: np.ndarray, y: np.ndarray, cfg: SolverConfig) -> None:
@@ -371,7 +403,7 @@ def irls_tlp(A, y, params: PenaltyParams, cfg: SolverConfig) -> SolveResult:
 
         tail = tail_magnitude(x, cfg.s)
         eps = min(eps, tail / cfg.delta_scale)
-        res = A @ x - y
+        res = inner.residual
         obj_trace.append(float(cfg.lam * penalty_tlp(params, x)
                                + 0.5 * (res @ res)))
         if tail < cfg.outer_tol_mag:
@@ -414,7 +446,7 @@ def j_functional(params: PenaltyParams, x: np.ndarray, omega: np.ndarray,
 
 def _constrained_ls(A: np.ndarray, y: np.ndarray, dvec: np.ndarray) -> np.ndarray:
     # min sum x_i^2 / dvec_i  s.t.  Ax = y, via x = D A^T (A D A^T)^{-1} y
-    factor = _cho_factor_spd((A * dvec) @ A.T)
+    factor = _cho_factor_spd(_scaled_gram(A, dvec))
     return dvec * (A.T @ cho_solve(factor, y))
 
 
@@ -565,12 +597,13 @@ def irls_lq_baseline(A, y, q: float, cfg: SolverConfig) -> SolveResult:
         eps_trace.append(eps)
         w = (x * x + epspow) ** ((q - 2.0) / 2.0)
         w_inf_trace.append(float(np.max(w)))
-        x = _SpdSolver(A, 2.0 * cfg.lam * w, gram=gram, y=y).solve(zero)
+        spd = _SpdSolver(A, 2.0 * cfg.lam * w, gram=gram, y=y)
+        x = spd.solve(zero)
         outer += 1
 
         tail = tail_magnitude(x, cfg.s)
         eps = min(eps, tail / cfg.delta_scale)
-        res = A @ x - y
+        res = spd.residual
         obj_trace.append(float(cfg.lam * penalty_lp(q, x) + 0.5 * (res @ res)))
         if tail < cfg.outer_tol_mag:
             status = "sparsity_reached"

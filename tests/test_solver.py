@@ -6,8 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from tlpsparse.penalty import PenaltyParams, penalty_tlp
 from tlpsparse.sensing import gen_gaussian, gen_signal
-from tlpsparse.solver import (SolverConfig, WeightState, _route,
-                              _SpdSolver, dca_subproblem, f_w_value,
+from tlpsparse.solver import (SolverConfig, WeightState, _constrained_ls,
+                              _route, _scaled_gram, _SpdSolver,
+                              dca_subproblem, f_w_value,
                               grad_f_w, grad_phi_w, irls_constrained,
                               irls_lq_baseline, irls_tlp, j_closed_form,
                               j_functional, phi_w, rearrange,
@@ -229,6 +230,36 @@ class TestSpdRoutes:
                              + np.linalg.norm(d * x) + np.linalg.norm(b))
                     assert np.linalg.norm(res) <= 1e-13 * scale, (s, method)
 
+    def test_backward_residual_both_routes_256x1024(self):
+        rng = np.random.default_rng(43)
+        for s in (40, 128):
+            A, d, y, v = _dca_like_system(rng, 256, 1024, s)
+            b = A.T @ y + v
+            for method in ("direct", "woodbury"):
+                x = _SpdSolver(A, d, method=method, y=y).solve(v)
+                res = A.T @ (A @ x) + d * x - b
+                scale = (np.linalg.norm(A, 2) ** 2 * np.linalg.norm(x)
+                         + np.linalg.norm(d * x) + np.linalg.norm(b))
+                assert np.linalg.norm(res) <= 1e-13 * scale, (s, method)
+
+    @pytest.mark.parametrize("method", ["direct", "woodbury"])
+    def test_dca_trace_ends_at_f_w_value(self, method):
+        # the trace is recorded from the solve's own residual; its last
+        # entry must agree with a fresh f_w_value at the returned x
+        rng = np.random.default_rng(53)
+        params = PenaltyParams(1.0, 0.7)
+        cfg = SolverConfig(s=5)
+        for _ in range(5):
+            A, d, y, _ = _dca_like_system(rng, 32, 128, 5)
+            w = d / d.max() * 1e6
+            for x_init in (None, rng.standard_normal(128)):
+                res = dca_subproblem(A, y, params, w, cfg, x_init=x_init,
+                                     solve_method=method)
+                want = f_w_value(A, y, params, cfg.lam, w, res.x)
+                assert res.f_trace[-1] == pytest.approx(want, rel=1e-12)
+                assert np.allclose(res.residual, y - A @ res.x,
+                                   rtol=0, atol=1e-12 * np.linalg.norm(y))
+
     def test_dca_same_on_both_routes(self):
         # 16 x 64 takes the dual route under "auto"; forcing either route
         # must give the same iteration count and iterates within 1e-9
@@ -259,6 +290,27 @@ class TestSpdRoutes:
         with pytest.warns(RuntimeWarning, match="ridge"):
             solver = _SpdSolver(A, np.zeros(12), method="direct")
         assert np.all(np.isfinite(solver.solve(rng.standard_normal(12))))
+
+
+class TestScaledGram:
+    @pytest.mark.parametrize("shape,order", [((64, 256), "C"),
+                                             ((256, 1024), "C"),
+                                             ((20, 70), "F")])
+    def test_upper_triangle_matches_product(self, shape, order):
+        rng = np.random.default_rng(59)
+        A = np.asarray(rng.standard_normal(shape), order=order)
+        dinv = 10.0 ** rng.uniform(-14, 6, shape[1])
+        want = np.triu((A * dinv) @ A.T)
+        got = np.triu(_scaled_gram(A, dinv))
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_constrained_ls_is_feasible(self):
+        rng = np.random.default_rng(67)
+        for M, N in ((16, 64), (64, 256)):
+            A = rng.standard_normal((M, N))
+            y = rng.standard_normal(M)
+            x = _constrained_ls(A, y, 10.0 ** rng.uniform(-6, 2, N))
+            assert np.linalg.norm(A @ x - y) <= 1e-10 * np.linalg.norm(y)
 
 
 SOLVERS = {
@@ -350,7 +402,7 @@ class TestIrlsTlp:
         assert "objective_trace" in blob
 
     def test_wide_matrix_uses_dual_solve_and_recovers(self):
-        # 4M < N engages the m x m reformulation inside the solve
+        # 20 x 120 is wide enough that _route takes the m x m dual
         from tlpsparse.sensing import gen_dct
         A = gen_dct(20, 120, 2.0, seed=303)
         truth = gen_signal(120, 2, seed=703)
