@@ -21,7 +21,7 @@ from .sensing import (SensingMatrix, SparseSignal, coherence, derive_seed,
                       save_matrix_csv)
 from .solver import (DcaResult, SolveResult, SolverConfig, WeightState,
                      dca_subproblem, grad_phi_w, irls_constrained,
-                     irls_lq_baseline, irls_tlp, rearrange)
+                     irls_lq_baseline, irls_tlp)
 from .theory import (RipBound, StabilityConstants, normalization_beta,
                      rip_bound, solve_eta0, stability_constants)
 
@@ -34,7 +34,7 @@ __all__ = [
     "gen_signal", "coherence", "derive_seed", "save_matrix_csv",
     "load_matrix_csv",
     "SolverConfig", "SolveResult", "DcaResult", "WeightState",
-    "rearrange", "grad_phi_w", "dca_subproblem", "irls_tlp",
+    "grad_phi_w", "dca_subproblem", "irls_tlp",
     "irls_constrained", "irls_lq_baseline",
 ]
 

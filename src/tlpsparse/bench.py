@@ -18,17 +18,19 @@ no further condition.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .penalty import PenaltyParams
 from .sensing import derive_seed, gen_dct, gen_gaussian, gen_signal
-from .solver import SolverConfig, irls_constrained, irls_lq_baseline, irls_tlp
+from .solver import (Schedule, SolverConfig, irls_constrained,
+                     irls_lq_baseline, irls_tlp)
 
 WORKERS_ENV = "TLPSPARSE_WORKERS"
 
@@ -36,32 +38,30 @@ CSV_HEADER = ("solver,a,p,kappa,family,M,N,param,sparsity,trials,"
               "successes,success_rate,mean_rel_err,mean_time_ms")
 SWEEP_CSV_HEADER = "a,p,sparsity,success_rate"
 
-_METHODS = ("tlp", "lq", "constrained")
+METHODS = ("tlp", "lq", "constrained")
 
 
 @dataclass(frozen=True)
-class SolverSpec:
-    """One solver column of an experiment: method, penalty, and config."""
+class SolverSpec(Schedule):
+    """One solver column of an experiment: method, penalty, and the
+    schedule knobs it inherits.  Invalid values raise ValueError here,
+    before any trial runs."""
 
     method: str = "tlp"
     a: float = 1.0
     p: float = 0.7
     q: float = 0.5
-    kappa: float = 3.0
-    lam: float = 1e-6
-    c: float = 1e-6
-    delta_scale: float = 2.0
-    eps0: float = 1.0
-    inner_tol: float = 1e-8
-    inner_max: int = 20
-    outer_tol_step: float = 1e-8
-    outer_tol_mag: float = 1e-8
-    outer_max: int = 2000
     label: str | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
+        super().__post_init__()
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}")
+        if self.method == "lq":
+            if not 0 < self.q <= 1:
+                raise ValueError("q must lie in (0, 1]")
+        else:
+            PenaltyParams(self.a, self.p)
         if self.label and "," in self.label:
             raise ValueError("solver label must not contain commas")
 
@@ -79,12 +79,8 @@ class SolverSpec:
         return self.label if self.label else self.canonical_id
 
     def config(self, s: int) -> SolverConfig:
-        return SolverConfig(
-            s=s, lam=self.lam, kappa=self.kappa,
-            delta_scale=self.delta_scale, c=self.c, eps0=self.eps0,
-            inner_tol=self.inner_tol, inner_max=self.inner_max,
-            outer_tol_step=self.outer_tol_step,
-            outer_tol_mag=self.outer_tol_mag, outer_max=self.outer_max)
+        return SolverConfig(s=s, **{f.name: getattr(self, f.name)
+                                    for f in fields(Schedule)})
 
 
 @dataclass(frozen=True)
@@ -159,13 +155,20 @@ def _gen_matrix(plan: ExperimentPlan, seed: int):
     return gen_dct(plan.M, plan.N, plan.param, seed)
 
 
-def _dispatch(spec: SolverSpec, A, y, s: int):
+def solve(spec: SolverSpec, A, y, s: int):
+    """Run the spec's solver on one problem at target sparsity s.
+
+    The one method dispatch, for the harness and the CLI alike.  It looks
+    the solvers up in this module's globals at call time, so patching
+    ``bench.irls_*`` reaches both.
+    """
     cfg = spec.config(s)
-    if spec.method == "tlp":
-        return irls_tlp(A, y, PenaltyParams(spec.a, spec.p), cfg)
     if spec.method == "lq":
         return irls_lq_baseline(A, y, spec.q, cfg)
-    return irls_constrained(A, y, PenaltyParams(spec.a, spec.p), cfg)
+    params = PenaltyParams(spec.a, spec.p)
+    if spec.method == "tlp":
+        return irls_tlp(A, y, params, cfg)
+    return irls_constrained(A, y, params, cfg)
 
 
 def run_trial(plan: ExperimentPlan, spec: SolverSpec, sparsity: int,
@@ -180,7 +183,7 @@ def run_trial(plan: ExperimentPlan, spec: SolverSpec, sparsity: int,
     y = A.entries @ truth.vector
     t0 = time.perf_counter()
     try:
-        result = _dispatch(spec, A, y, sparsity)
+        result = solve(spec, A, y, sparsity)
         rel_err = float(np.linalg.norm(result.x - truth.vector)
                         / np.linalg.norm(truth.vector))
         outer = result.outer_iters
@@ -210,10 +213,8 @@ def run_experiment(plan: ExperimentPlan,
     environment variable, or serial.
     """
     workers = _resolve_workers(workers)
-    tasks = [(spec, sp, t)
-             for spec in plan.solvers
-             for sp in plan.sparsities
-             for t in range(plan.trials)]
+    grid = list(itertools.product(plan.solvers, plan.sparsities))
+    tasks = [(spec, sp, t) for spec, sp in grid for t in range(plan.trials)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(
@@ -221,19 +222,16 @@ def run_experiment(plan: ExperimentPlan,
     else:
         records = [run_trial(plan, *args) for args in tasks]
 
-    by_cell: dict[tuple[str, int], list[TrialRecord]] = {}
-    for rec in records:
-        by_cell.setdefault((rec.solver_id, rec.sparsity), []).append(rec)
-
+    # one cell per position in plan.solvers: specs with equal canonical
+    # ids share instances but not rows
     cells = []
-    for spec in plan.solvers:
-        for sp in plan.sparsities:
-            recs = by_cell[(spec.canonical_id, sp)]
-            cells.append(CellStats(
-                spec=spec, sparsity=sp, trials=len(recs),
-                successes=sum(r.success for r in recs),
-                mean_rel_err=float(np.mean([r.rel_err for r in recs])),
-                mean_time_ms=float(np.mean([r.wall_time_ms for r in recs]))))
+    for k, (spec, sp) in enumerate(grid):
+        recs = records[k * plan.trials:(k + 1) * plan.trials]
+        cells.append(CellStats(
+            spec=spec, sparsity=sp, trials=len(recs),
+            successes=sum(r.success for r in recs),
+            mean_rel_err=float(np.mean([r.rel_err for r in recs])),
+            mean_time_ms=float(np.mean([r.wall_time_ms for r in recs]))))
     return ExperimentResult(plan=plan, cells=cells, records=records)
 
 

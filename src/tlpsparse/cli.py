@@ -20,14 +20,16 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from . import bench as bench_mod
 from .penalty import PenaltyParams, relaxation_degree
 from .sensing import gen_dct, gen_gaussian, load_matrix_csv, save_matrix_csv
-from .solver import (SolverConfig, irls_constrained, irls_lq_baseline,
-                     irls_tlp)
+# irls_* are not called here; benchmarks/tracing.py wraps them at install
+from .solver import (SolverConfig, irls_constrained,  # noqa: F401
+                     irls_lq_baseline, irls_tlp)
 from .theory import rip_bound, stability_constants
 
 
@@ -35,17 +37,17 @@ class DimensionError(ValueError):
     """Input shapes disagree; maps to exit code 3."""
 
 
-_SOLVE_KEYS = ("method", "a", "p", "q", "kappa", "lambda", "s", "c",
-               "delta_scale", "eps0", "inner_tol", "inner_max",
-               "outer_tol_step", "outer_tol_mag", "outer_max")
-
 _PLAN_KEYS = ("kind", "family", "M", "N", "param", "sparsities", "trials",
               "threshold", "master_seed", "timing", "solvers",
               "a_grid", "p_grid", "sparsity")
 
-_SPEC_KEYS = ("method", "label", "a", "p", "q", "kappa", "lambda", "c",
-              "delta_scale", "eps0", "inner_tol", "inner_max",
-              "outer_tol_step", "outer_tol_mag", "outer_max")
+# solver-spec keys of plan files, mapped to SolverSpec fields; files and
+# flags spell the field lam as "lambda"
+_SPEC_KEYS = {"lambda" if f.name == "lam" else f.name: f
+              for f in fields(bench_mod.SolverSpec)}
+# solve options (config keys and flags): the spec keys but label, plus s
+_SOLVE_KEYS = {**{k: f for k, f in _SPEC_KEYS.items() if k != "label"},
+               "s": next(f for f in fields(SolverConfig) if f.name == "s")}
 
 
 def _load_vector(path: str) -> np.ndarray:
@@ -72,7 +74,8 @@ def _write_text(text: str, out: str | None) -> None:
 
 # ---------------------------------------------------------------- solve
 
-def _merged_solve_options(args) -> dict:
+def _solve_spec(args) -> tuple[bench_mod.SolverSpec, int]:
+    """Config file options overridden by explicit flags, as (spec, s)."""
     opts: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -80,23 +83,20 @@ def _merged_solve_options(args) -> dict:
         if not isinstance(file_opts, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         _reject_unknown(file_opts, _SOLVE_KEYS, "config")
-        opts.update(file_opts)
-    for key in _SOLVE_KEYS:
-        flag = getattr(args, key.replace("lambda", "lam"), None)
-        if flag is not None:
-            opts[key] = flag
-    return opts
+        opts.update({_SOLVE_KEYS[k].name: v for k, v in file_opts.items()})
+    for f in _SOLVE_KEYS.values():
+        if getattr(args, f.name) is not None:
+            opts[f.name] = getattr(args, f.name)
+    if "s" not in opts:
+        raise ValueError("target sparsity --s is required")
+    s = opts.pop("s")
+    return bench_mod.SolverSpec(**opts), s
 
 
 def cmd_solve(args) -> int:
+    spec, s = _solve_spec(args)
     A = load_matrix_csv(args.matrix)
     M, N = A.shape
-    opts = _merged_solve_options(args)
-    method = opts.get("method", "tlp")
-    if method not in ("tlp", "constrained", "lq"):
-        raise ValueError(f"unknown method {method!r}")
-    if "s" not in opts:
-        raise ValueError("target sparsity --s is required")
 
     truth = None
     if args.truth:
@@ -112,32 +112,11 @@ def cmd_solve(args) -> int:
                 f"measurement vector has length {y.size}, matrix has M={M}")
     else:
         raise ValueError("provide --truth or --measurements")
-    if int(opts["s"]) >= N:
-        raise DimensionError(f"s={opts['s']} must be below N={N}")
-
-    cfg = SolverConfig(
-        s=int(opts["s"]),
-        lam=float(opts.get("lambda", 1e-6)),
-        kappa=float(opts.get("kappa", 3.0)),
-        delta_scale=float(opts.get("delta_scale", 2.0)),
-        c=float(opts.get("c", 1e-6)),
-        eps0=float(opts.get("eps0", 1.0)),
-        inner_tol=float(opts.get("inner_tol", 1e-8)),
-        inner_max=int(opts.get("inner_max", 20)),
-        outer_tol_step=float(opts.get("outer_tol_step", 1e-8)),
-        outer_tol_mag=float(opts.get("outer_tol_mag", 1e-8)),
-        outer_max=int(opts.get("outer_max", 2000)))
+    if s >= N:
+        raise DimensionError(f"s={s} must be below N={N}")
 
     t0 = time.perf_counter()
-    if method == "lq":
-        result = irls_lq_baseline(A, y, float(opts.get("q", 0.5)), cfg)
-    else:
-        params = PenaltyParams(float(opts.get("a", 1.0)),
-                               float(opts.get("p", 0.7)))
-        if method == "tlp":
-            result = irls_tlp(A, y, params, cfg)
-        else:
-            result = irls_constrained(A, y, params, cfg)
+    result = bench_mod.solve(spec, A, y, s)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
 
     payload = result.to_dict()
@@ -153,10 +132,7 @@ def cmd_solve(args) -> int:
 
 def _parse_spec(d: dict) -> bench_mod.SolverSpec:
     _reject_unknown(d, _SPEC_KEYS, "solver spec")
-    d = dict(d)
-    if "lambda" in d:
-        d["lam"] = d.pop("lambda")
-    return bench_mod.SolverSpec(**d)
+    return bench_mod.SolverSpec(**{_SPEC_KEYS[k].name: v for k, v in d.items()})
 
 
 def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
@@ -251,21 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--measurements", help="measurement vector file")
     ps.add_argument("--config", help="JSON file with solver options")
     ps.add_argument("--out", help="write result JSON here (default stdout)")
-    ps.add_argument("--method", choices=("tlp", "constrained", "lq"))
-    ps.add_argument("--a", type=float)
-    ps.add_argument("--p", type=float)
-    ps.add_argument("--q", type=float)
-    ps.add_argument("--kappa", type=float)
-    ps.add_argument("--lambda", type=float, dest="lam")
-    ps.add_argument("--s", type=int)
-    ps.add_argument("--c", type=float)
-    ps.add_argument("--delta-scale", type=float, dest="delta_scale")
-    ps.add_argument("--eps0", type=float)
-    ps.add_argument("--inner-tol", type=float, dest="inner_tol")
-    ps.add_argument("--inner-max", type=int, dest="inner_max")
-    ps.add_argument("--outer-tol-step", type=float, dest="outer_tol_step")
-    ps.add_argument("--outer-tol-mag", type=float, dest="outer_tol_mag")
-    ps.add_argument("--outer-max", type=int, dest="outer_max")
+    for key, f in _SOLVE_KEYS.items():
+        kind = {"int": int, "float": float}.get(f.type)
+        ps.add_argument("--" + key.replace("_", "-"), dest=f.name, type=kind,
+                        choices=bench_mod.METHODS if key == "method" else None)
     ps.set_defaults(func=cmd_solve)
 
     pb = sub.add_parser("bench", help="run a success-rate plan file")

@@ -23,8 +23,11 @@ comparisons.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
+from numbers import Integral, Real
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError, null_space
@@ -35,18 +38,26 @@ from .penalty import PenaltyParams, penalty_tlp, penalty_lp
 from .sensing import SensingMatrix
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs shared by all solver variants.
+def _check_positive(name: str, value, integral: bool) -> None:
+    kind, what = (Integral, "an integer") if integral else (Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite")
 
-    ``s`` is the sparsity the eps schedule targets (the tail magnitude
-    r(x)_{s+1} drives both the eps update and the stopping tests).  ``c``
-    is the strong-convexity constant added to both halves of the DC split;
-    it must stay well below lam * (a+1)/a * w for typical weights or the
-    inner iteration contracts too slowly to be useful.
+
+@dataclass(frozen=True, kw_only=True)
+class Schedule:
+    """The solver knobs, declared once: ``SolverConfig`` and
+    ``bench.SolverSpec`` inherit them, and the CLI derives its flags and
+    plan keys from them.
+
+    ``c`` is the strong-convexity constant added to both halves of the DC
+    split; it must stay well below lam * (a+1)/a * w for typical weights or
+    the inner iteration contracts too slowly to be useful.  Every knob must
+    be positive and finite; ``int`` knobs take integers only.
     """
 
-    s: int
     lam: float = 1e-6
     kappa: float = 3.0
     delta_scale: float = 2.0
@@ -59,14 +70,23 @@ class SolverConfig:
     outer_max: int = 2000
 
     def __post_init__(self) -> None:
-        if self.s < 1:
-            raise ValueError("target sparsity s must be >= 1")
-        for name in ("lam", "kappa", "delta_scale", "c", "eps0",
-                     "inner_tol", "outer_tol_step", "outer_tol_mag"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.inner_max < 1 or self.outer_max < 1:
-            raise ValueError("iteration caps must be >= 1")
+        for f in fields(Schedule):
+            _check_positive(f.name, getattr(self, f.name), f.type == "int")
+
+
+@dataclass(frozen=True)
+class SolverConfig(Schedule):
+    """The schedule knobs of one solve, plus its target sparsity.
+
+    ``s`` is the sparsity the eps schedule targets (the tail magnitude
+    r(x)_{s+1} drives both the eps update and the stopping tests).
+    """
+
+    s: int
+
+    def __post_init__(self) -> None:
+        _check_positive("s", self.s, integral=True)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -80,10 +100,15 @@ class WeightState:
     @classmethod
     def from_iterate(cls, params: PenaltyParams, x: np.ndarray, eps: float,
                      kappa: float) -> "WeightState":
-        epspow = eps ** kappa
-        w = (x * x + epspow) ** ((params.p - 2.0) / 2.0)
+        w = _weights(x, eps, kappa, params.p)
         omega = w * (params.a + np.abs(x) ** params.p) ** (2.0 / params.p - 1.0)
         return cls(w=w, omega=omega, eps=eps)
+
+
+def _weights(x: np.ndarray, eps: float, kappa: float,
+             exponent: float) -> np.ndarray:
+    """IRLS weights (x_i^2 + eps^kappa)^((exponent-2)/2)."""
+    return (x * x + eps ** kappa) ** ((exponent - 2.0) / 2.0)
 
 
 @dataclass
@@ -132,20 +157,6 @@ class DcaResult:
 
 def _as_array(A) -> np.ndarray:
     return A.entries if isinstance(A, SensingMatrix) else np.asarray(A, float)
-
-
-def rearrange(x) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitudes sorted descending plus tail sums.
-
-    Ties break by ascending original index.  ``sigma_tail[j]`` is the sum
-    of all magnitudes strictly below rank j, i.e. sum(r[j:]) at j = 0 is
-    the full l1 mass and sigma_tail[N-1] is the smallest magnitude.
-    """
-    x = np.asarray(x, dtype=float)
-    order = np.argsort(-np.abs(x), kind="stable")
-    r = np.abs(x)[order]
-    sigma_tail = np.cumsum(r[::-1])[::-1]
-    return r, sigma_tail
 
 
 def tail_magnitude(x, s: int) -> float:
@@ -347,7 +358,10 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
                      iters=iters, converged=converged)
 
 
-def _check_problem(A: np.ndarray, y: np.ndarray, cfg: SolverConfig) -> None:
+def _problem(A, y, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """A and y as float arrays, checked against each other and cfg.s."""
+    A = _as_array(A)
+    y = np.asarray(y, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a matrix")
     if y.ndim != 1 or y.size != A.shape[0]:
@@ -356,73 +370,104 @@ def _check_problem(A: np.ndarray, y: np.ndarray, cfg: SolverConfig) -> None:
         raise ValueError(f"target sparsity s={cfg.s} must be below N={A.shape[1]}")
     if not (np.isfinite(A).all() and np.isfinite(y).all()):
         raise ValueError("A and y must be finite")
+    return A, y
 
 
-def irls_tlp(A, y, params: PenaltyParams, cfg: SolverConfig) -> SolveResult:
-    """Outer reweighting loop around the DC inner solver.
+class _Reweighted(NamedTuple):
+    x: np.ndarray
+    w: np.ndarray | None  # weights of the last step; None if none was taken
+    eps: float
+    outer: int
+    status: str
+    eps_trace: list[float]
+    w_inf_trace: list[float]
 
-    Starts from zero with eps = eps0; after each inner solve the smoothing
-    parameter is pulled down to (tail magnitude)/delta_scale, which both
-    caps the weights (||w||_inf <= eps^(-kappa(2-p)/2)) and anneals the
-    surrogate toward the true penalty.  Stops when the tail magnitude
-    drops below outer_tol_mag (sparsity reached), when it stagnates, or
-    at outer_max; if eps reaches exactly zero the iterate is frozen.
+
+def _reweight(N: int, exponent: float, cfg: SolverConfig,
+              step: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
+              stop_on_step: bool = False) -> _Reweighted:
+    """The outer reweighting schedule that all three solvers share.
+
+    Starts from x = 0 with eps = eps0.  Each outer iteration freezes the
+    weights w = (x^2 + eps^kappa)^((exponent-2)/2), moves to
+    ``step(x, w, eps)``, and pulls eps down to r(x)_{s+1} / delta_scale,
+    the (s+1)-th largest magnitude over delta_scale (Daubechies, DeVore,
+    Fornasier and Güntürk, CPAM 2010; Lai, Xu and Yin, SINUM 2013).  This
+    caps the weights (||w||_inf <= eps^(-kappa(2-exponent)/2)) and anneals
+    the surrogate toward the true penalty.  If eps^kappa reaches exactly
+    zero the iterate is frozen.
+
+    Statuses: ``sparsity_reached`` when r(x)_{s+1} < outer_tol_mag (or eps
+    froze), ``step_converged`` when the iteration stalls, ``max_iters`` at
+    outer_max.  The stall test is the one deliberate difference between
+    the solvers.  By default the tail magnitude stagnates, |r - r_old| <
+    outer_tol_step max(r_old, 1), tested after the sparsity test.  With
+    ``stop_on_step`` the sup-norm step falls below outer_tol_step, tested
+    first.
     """
-    A = _as_array(A)
-    y = np.asarray(y, dtype=float)
-    _check_problem(A, y, cfg)
-    M, N = A.shape
-    p = params.p
-    gram = A.T @ A if _route(M, N) == "direct" else None
-
     x = np.zeros(N)
+    w = None
     eps = cfg.eps0
     tail_old = 0.0
     status = "max_iters"
     outer = 0
-    total_inner = 0
-    obj_trace: list[float] = []
     eps_trace: list[float] = []
     w_inf_trace: list[float] = []
-    inner_traces: list[list[float]] = []
-    w = np.ones(N)
-
     for _ in range(cfg.outer_max):
-        epspow = eps ** cfg.kappa
-        if eps == 0.0 or epspow == 0.0:
+        if eps ** cfg.kappa == 0.0:
             status = "sparsity_reached"
             break
         eps_trace.append(eps)
-        w = (x * x + epspow) ** ((p - 2.0) / 2.0)
+        w = _weights(x, eps, cfg.kappa, exponent)
         w_inf_trace.append(float(np.max(w)))
-        inner = dca_subproblem(A, y, params, w, cfg, gram=gram)
-        x = inner.x
-        total_inner += inner.iters
-        inner_traces.append([float(v) for v in inner.f_trace])
+        x_old, x = x, step(x, w, eps)
         outer += 1
-
         tail = tail_magnitude(x, cfg.s)
         eps = min(eps, tail / cfg.delta_scale)
-        res = inner.residual
-        obj_trace.append(float(cfg.lam * penalty_tlp(params, x)
-                               + 0.5 * (res @ res)))
+        if stop_on_step and np.max(np.abs(x - x_old)) < cfg.outer_tol_step:
+            status = "step_converged"
+            break
         if tail < cfg.outer_tol_mag:
             status = "sparsity_reached"
             break
-        if abs(tail - tail_old) < cfg.outer_tol_step * max(tail_old, 1.0):
+        if not stop_on_step and (abs(tail - tail_old)
+                                 < cfg.outer_tol_step * max(tail_old, 1.0)):
             status = "step_converged"
             break
         tail_old = tail
+    return _Reweighted(x, w, eps, outer, status, eps_trace, w_inf_trace)
 
-    grad_inf = float(np.max(np.abs(
-        grad_f_w(A, y, params, cfg.lam, w, x)))) if outer else 0.0
+
+def irls_tlp(A, y, params: PenaltyParams, cfg: SolverConfig) -> SolveResult:
+    """Outer reweighting loop (``_reweight``) around the DC inner solver.
+
+    Each outer step is one ``dca_subproblem`` solve at the frozen weights.
+    """
+    A, y = _problem(A, y, cfg)
+    gram = A.T @ A if _route(*A.shape) == "direct" else None
+    obj_trace: list[float] = []
+    inner_traces: list[list[float]] = []
+
+    def dca_step(x, w, eps):
+        inner = dca_subproblem(A, y, params, w, cfg, gram=gram)
+        inner_traces.append([float(v) for v in inner.f_trace])
+        res = inner.residual
+        obj_trace.append(float(cfg.lam * penalty_tlp(params, inner.x)
+                               + 0.5 * (res @ res)))
+        return inner.x
+
+    run = _reweight(A.shape[1], params.p, cfg, dca_step)
+    grad_inf = float(np.max(np.abs(grad_f_w(
+        A, y, params, cfg.lam, run.w, run.x)))) if run.outer else 0.0
     return SolveResult(
         solver=f"tlp(a={params.a:g},p={params.p:g})",
-        x=x, outer_iters=outer, total_inner_iters=total_inner,
-        final_eps=eps, converged=status,
-        residual=float(np.linalg.norm(A @ x - y)),
-        objective_trace=obj_trace, eps_trace=eps_trace,
-        w_inf_trace=w_inf_trace, inner_f_traces=inner_traces,
+        x=run.x, outer_iters=run.outer,
+        # an f trace holds the starting value plus one per inner iteration
+        total_inner_iters=sum(len(t) - 1 for t in inner_traces),
+        final_eps=run.eps, converged=run.status,
+        residual=float(np.linalg.norm(A @ run.x - y)),
+        objective_trace=obj_trace, eps_trace=run.eps_trace,
+        w_inf_trace=run.w_inf_trace, inner_f_traces=inner_traces,
         final_grad_inf=grad_inf)
 
 
@@ -494,129 +539,74 @@ def irls_constrained(A, y, params: PenaltyParams, cfg: SolverConfig,
                      exact_update: bool = False) -> SolveResult:
     """Reweighted least squares for  min P(x)  s.t.  Ax = y.
 
-    The default x-update freezes all weight denominators at the previous
-    iterate and solves the resulting weighted least squares in closed
-    form.  ``exact_update=True`` instead locally minimizes the surrogate
-    functional over {Ax = y} (null-space parameterization, warm-started
-    at the previous iterate and at the frozen-weight candidate, best kept),
-    which guarantees the recorded surrogate values never increase.
+    Runs the shared outer schedule (``_reweight``), stopping on an absolute
+    step.  The default x-update freezes all weight denominators at the
+    previous iterate and solves the resulting weighted least squares in
+    closed form.  ``exact_update=True`` instead locally minimizes the
+    surrogate functional over {Ax = y} (null-space parameterization,
+    warm-started at the previous iterate and at the frozen-weight
+    candidate, best kept), which guarantees the recorded surrogate values
+    never increase.
 
     ``objective_trace`` records the penalty value per outer iterate and
     ``j_trace`` the matched surrogate value; both include the final point.
     """
-    A = _as_array(A)
-    y = np.asarray(y, dtype=float)
-    _check_problem(A, y, cfg)
-    N = A.shape[1]
+    A, y = _problem(A, y, cfg)
     a, p = params.a, params.p
-
-    x = np.zeros(N)
-    eps = cfg.eps0
-    status = "max_iters"
-    outer = 0
     j_trace: list[float] = []
     pen_trace: list[float] = []
-    eps_trace: list[float] = []
 
-    for _ in range(cfg.outer_max):
-        epspow = eps ** cfg.kappa
-        if eps == 0.0 or epspow == 0.0:
-            status = "sparsity_reached"
-            break
+    def ls_step(x, w, eps):
         j_trace.append(j_closed_form(params, x, eps, cfg.kappa))
         pen_trace.append(penalty_tlp(params, x))
-        eps_trace.append(eps)
+        # hat-w = (a+1) w / (a + |x|^p), frozen at the current iterate
+        frozen = _constrained_ls(A, y, (a + np.abs(x) ** p) / ((a + 1.0) * w))
+        if not exact_update:
+            return frozen
+        omega = WeightState.from_iterate(params, x, eps, cfg.kappa).omega
+        # the zero start is not a candidate on the first step
+        cands = [frozen] if len(j_trace) == 1 else [frozen, x]
+        return _feasible_minimizer(A, y, params, omega, eps, cfg.kappa, cands)
 
-        w = (x * x + epspow) ** ((p - 2.0) / 2.0)
-        if exact_update:
-            omega = w * (a + np.abs(x) ** p) ** (2.0 / p - 1.0)
-            frozen = _constrained_ls(
-                A, y, (a + np.abs(x) ** p) / ((a + 1.0) * w))
-            cands = [frozen] if outer == 0 else [frozen, x]
-            x_new = _feasible_minimizer(A, y, params, omega, eps, cfg.kappa,
-                                        cands)
-        else:
-            # hat-w = (a+1) w / (a + |x|^p), frozen at the current iterate
-            x_new = _constrained_ls(
-                A, y, (a + np.abs(x) ** p) / ((a + 1.0) * w))
-
-        step = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        outer += 1
-        tail = tail_magnitude(x, cfg.s)
-        eps = min(eps, tail / cfg.delta_scale)
-        if step < cfg.outer_tol_step:
-            status = "step_converged"
-            break
-        if tail < cfg.outer_tol_mag:
-            status = "sparsity_reached"
-            break
-
-    j_trace.append(j_closed_form(params, x, eps, cfg.kappa))
-    pen_trace.append(penalty_tlp(params, x))
-    eps_trace.append(eps)
+    run = _reweight(A.shape[1], p, cfg, ls_step, stop_on_step=True)
+    j_trace.append(j_closed_form(params, run.x, run.eps, cfg.kappa))
+    pen_trace.append(penalty_tlp(params, run.x))
     return SolveResult(
         solver=f"constrained(a={a:g},p={p:g})",
-        x=x, outer_iters=outer, total_inner_iters=0,
-        final_eps=eps, converged=status,
-        residual=float(np.linalg.norm(A @ x - y)),
-        objective_trace=pen_trace, j_trace=j_trace, eps_trace=eps_trace)
+        x=run.x, outer_iters=run.outer, total_inner_iters=0,
+        final_eps=run.eps, converged=run.status,
+        residual=float(np.linalg.norm(A @ run.x - y)),
+        objective_trace=pen_trace, j_trace=j_trace,
+        eps_trace=run.eps_trace + [run.eps])
 
 
 def irls_lq_baseline(A, y, q: float, cfg: SolverConfig) -> SolveResult:
     """IRLS for  lam ||x||_q^q + 1/2 ||Ax - y||^2  with the same schedule.
 
     One ridge-regularized normal-equation solve per outer iteration with
-    weights (x_i^2 + eps^kappa)^((q-2)/2); eps update and stopping match
-    the transformed-lp solver, which makes success-rate comparisons
-    schedule-for-schedule fair.
+    weights (x_i^2 + eps^kappa)^((q-2)/2); the eps update and stopping are
+    the transformed-lp solver's (``_reweight``), which makes success-rate
+    comparisons schedule-for-schedule fair.
     """
     if not (0 < q <= 1):
         raise ValueError("q must lie in (0, 1]")
-    A = _as_array(A)
-    y = np.asarray(y, dtype=float)
-    _check_problem(A, y, cfg)
-    N = A.shape[1]
-
-    x = np.zeros(N)
-    eps = cfg.eps0
-    tail_old = 0.0
-    status = "max_iters"
-    outer = 0
-    obj_trace: list[float] = []
-    eps_trace: list[float] = []
-    w_inf_trace: list[float] = []
+    A, y = _problem(A, y, cfg)
     gram = A.T @ A if _route(*A.shape) == "direct" else None
-    zero = np.zeros(N)
+    zero = np.zeros(A.shape[1])
+    obj_trace: list[float] = []
 
-    for _ in range(cfg.outer_max):
-        epspow = eps ** cfg.kappa
-        if eps == 0.0 or epspow == 0.0:
-            status = "sparsity_reached"
-            break
-        eps_trace.append(eps)
-        w = (x * x + epspow) ** ((q - 2.0) / 2.0)
-        w_inf_trace.append(float(np.max(w)))
+    def ridge_step(x, w, eps):
         spd = _SpdSolver(A, 2.0 * cfg.lam * w, gram=gram, y=y)
         x = spd.solve(zero)
-        outer += 1
-
-        tail = tail_magnitude(x, cfg.s)
-        eps = min(eps, tail / cfg.delta_scale)
         res = spd.residual
         obj_trace.append(float(cfg.lam * penalty_lp(q, x) + 0.5 * (res @ res)))
-        if tail < cfg.outer_tol_mag:
-            status = "sparsity_reached"
-            break
-        if abs(tail - tail_old) < cfg.outer_tol_step * max(tail_old, 1.0):
-            status = "step_converged"
-            break
-        tail_old = tail
+        return x
 
+    run = _reweight(A.shape[1], q, cfg, ridge_step)
     return SolveResult(
         solver=f"lq(q={q:g})",
-        x=x, outer_iters=outer, total_inner_iters=outer,
-        final_eps=eps, converged=status,
-        residual=float(np.linalg.norm(A @ x - y)),
-        objective_trace=obj_trace, eps_trace=eps_trace,
-        w_inf_trace=w_inf_trace)
+        x=run.x, outer_iters=run.outer, total_inner_iters=run.outer,
+        final_eps=run.eps, converged=run.status,
+        residual=float(np.linalg.norm(A @ run.x - y)),
+        objective_trace=obj_trace, eps_trace=run.eps_trace,
+        w_inf_trace=run.w_inf_trace)

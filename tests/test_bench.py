@@ -107,6 +107,19 @@ class TestRunExperiment:
         r2 = run_trial(tiny_plan(master_seed=8), tiny_plan().solvers[0], 3, 0)
         assert r1.seed != r2.seed
 
+    def test_specs_sharing_a_canonical_id_get_their_own_rows(self):
+        # same seeds (instances), different schedules: one row each
+        cap1 = SolverSpec(method="tlp", label="cap1", outer_max=1)
+        full = SolverSpec(method="tlp", label="full")
+        both = run_experiment(tiny_plan(sparsities=(3,),
+                                        solvers=(cap1, full)))
+        alone = run_experiment(tiny_plan(sparsities=(3,), solvers=(full,)))
+        assert [c.trials for c in both.cells] == [3, 3]
+        assert both.cells[1] == alone.cells[0]
+        assert both.cells[0].successes < both.cells[1].successes
+        assert [r.seed for r in both.records[:3]] == \
+            [r.seed for r in both.records[3:]]
+
 
 class TestSweep:
     def test_degenerate_grid_matches_experiment_cell(self):

@@ -136,6 +136,42 @@ class TestSolve:
         assert code == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("opts, code, named", [
+        ({"inner_max": 20.0}, 2, "inner_max"), ({"s": 1.0}, 2, "s"),
+        ({"outer_max": "5"}, 2, "outer_max"), ({"lambda": 1}, 0, None)])
+    def test_config_number_rule(self, tmp_path, identity_matrix, capsys,
+                                opts, code, named):
+        # int knobs take integers, float knobs any real number
+        y = tmp_path / "y.txt"
+        write_vector(y, [3.0, 0.0, 0.0, 0.0])
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"s": 1, **opts}))
+        assert main(["solve", "--matrix", str(identity_matrix),
+                     "--measurements", str(y), "--config", str(cfgfile)]) \
+            == code
+        if named:
+            assert f"{named} must be" in capsys.readouterr().err
+
+    def test_every_knob_has_a_flag_and_a_plan_key(self, tmp_path):
+        from dataclasses import fields
+        from tlpsparse.cli import build_parser, parse_plan_file
+        from tlpsparse.solver import Schedule
+        parser = build_parser()
+        spec, want = {"method": "tlp"}, {}
+        for f in fields(Schedule):
+            key = "lambda" if f.name == "lam" else f.name
+            value = f.default * 3  # valid, and not the default
+            args = parser.parse_args(["solve", "--matrix", "A.csv",
+                                      f"--{key.replace('_', '-')}",
+                                      str(value)])
+            assert getattr(args, f.name) == value
+            spec[key] = want[f.name] = value
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"family": "gaussian", "M": 4, "N": 8,
+                                    "sparsities": [1], "solvers": [spec]}))
+        cfg = parse_plan_file(str(plan))[1].solvers[0].config(1)
+        assert {name: getattr(cfg, name) for name in want} == want
+
 
 class TestBench:
     def plan_dict(self):
@@ -190,6 +226,20 @@ class TestBench:
             kind, plan, raw = parse_plan_file(str(path))
             assert kind in ("success_rate", "sweep")
             assert plan.trials >= 1
+
+    @pytest.mark.parametrize("bad, named", [
+        ({"lambda": -1e-6}, "lam must be positive"),
+        ({"outer_max": 0}, "outer_max must be positive"),
+        ({"method": "lq", "q": 2.0}, "q must lie in"),
+        ({"inner_max": 20.0}, "inner_max must be an integer"),
+        ({"c": float("nan")}, "c must be positive")])
+    def test_invalid_spec_exit_2(self, tmp_path, capsys, bad, named):
+        d = self.plan_dict()
+        d["solvers"] = [{"method": "tlp", **bad}]
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(d))
+        assert main(["bench", "--plan", str(plan)]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestTheoryCommands:

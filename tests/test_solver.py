@@ -7,43 +7,17 @@ from hypothesis.extra.numpy import arrays
 from tlpsparse.penalty import PenaltyParams, penalty_tlp
 from tlpsparse.sensing import gen_gaussian, gen_signal
 from tlpsparse.solver import (SolverConfig, WeightState, _constrained_ls,
-                              _route, _scaled_gram, _SpdSolver,
+                              _reweight, _route, _scaled_gram, _SpdSolver,
                               dca_subproblem, f_w_value,
                               grad_f_w, grad_phi_w, irls_constrained,
                               irls_lq_baseline, irls_tlp, j_closed_form,
-                              j_functional, phi_w, rearrange,
-                              tail_magnitude)
-
-
-class TestRearrange:
-    def test_basic(self):
-        r, tail = rearrange([1.0, -3.0, 2.0])
-        assert np.array_equal(r, [3.0, 2.0, 1.0])
-        assert tail[0] == pytest.approx(6.0)
-        assert tail[2] == pytest.approx(1.0)
-
-    def test_zero_vector(self):
-        r, tail = rearrange(np.zeros(4))
-        assert np.all(r == 0.0) and np.all(tail == 0.0)
-
-    def test_ties(self):
-        r, tail = rearrange([2.0, -2.0])
-        assert np.array_equal(r, [2.0, 2.0])
-        assert np.array_equal(tail, [4.0, 2.0])
-
-    def test_tail_magnitude(self):
-        assert tail_magnitude([5.0, 1.0, 3.0, 0.5], 2) == 1.0
-
-    @given(arrays(np.float64, st.integers(1, 12),
-                  elements=st.floats(-100, 100)))
-    def test_tail_sums_consistent(self, x):
-        r, tail = rearrange(x)
-        assert np.all(np.diff(r) <= 0)
-        for j in range(len(x)):
-            assert tail[j] == pytest.approx(r[j:].sum(), rel=1e-12, abs=1e-12)
+                              j_functional, phi_w, tail_magnitude)
 
 
 class TestTailMagnitude:
+    def test_tail_magnitude(self):
+        assert tail_magnitude([5.0, 1.0, 3.0, 0.5], 2) == 1.0
+
     @given(st.data())
     def test_matches_sort_definition(self, data):
         # ties and signed zeros come from the sampled values; s spans 0..N-1
@@ -534,3 +508,48 @@ class TestConfigValidation:
             SolverConfig(s=1, lam=0.0)
         with pytest.raises(ValueError):
             SolverConfig(s=1, inner_max=0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(s=1.0), "s"), (dict(s=1, inner_max=20.0), "inner_max"),
+        (dict(s=1, outer_max=True), "outer_max"), (dict(s=1, lam="1"), "lam")])
+    def test_knob_types(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an? "):
+            SolverConfig(**kwargs)
+
+    def test_float_knobs_take_any_real_number(self):
+        assert SolverConfig(s=1, lam=1, kappa=np.float64(3.0)).lam == 1
+
+
+class TestReweight:
+    """The shared outer driver, with fake steps, under both stall rules."""
+
+    U = np.array([3.0, 1.0, 0.0, 0.0])
+    V = np.array([1.0, 3.0, 0.0, 0.0])  # same tail magnitude at s = 1
+
+    def alternate(self, x, w, eps):
+        return self.V if np.array_equal(x, self.U) else self.U
+
+    def test_alternating_step_with_equal_tails(self):
+        cfg = SolverConfig(s=1, outer_max=7)
+        run = _reweight(4, 0.7, cfg, self.alternate)
+        assert (run.outer, run.status) == (2, "step_converged")
+        assert run.eps_trace == [1.0, 0.5]
+        run = _reweight(4, 0.7, cfg, self.alternate, stop_on_step=True)
+        assert (run.outer, run.status) == (7, "max_iters")
+
+    def test_step_that_stays_at_zero(self):
+        def stay(x, w, eps):
+            assert np.array_equal(w, np.ones(4))  # (0 + 1^kappa)^((p-2)/2)
+            return x.copy()
+
+        cfg = SolverConfig(s=1)
+        run = _reweight(4, 0.7, cfg, stay)
+        assert (run.outer, run.status) == (1, "sparsity_reached")
+        run = _reweight(4, 0.7, cfg, stay, stop_on_step=True)
+        assert (run.outer, run.status) == (1, "step_converged")
+
+    def test_eps_underflow_freezes_at_start(self):
+        cfg = SolverConfig(s=1, eps0=1e-120)  # eps0^3 underflows to 0
+        run = _reweight(4, 0.7, cfg, self.alternate)
+        assert (run.outer, run.status) == (0, "sparsity_reached")
+        assert np.array_equal(run.x, np.zeros(4)) and run.eps_trace == []
