@@ -29,8 +29,8 @@ import numpy as np
 
 from .penalty import PenaltyParams
 from .sensing import derive_seed, gen_dct, gen_gaussian, gen_signal
-from .solver import (Schedule, SolverConfig, irls_constrained,
-                     irls_lq_baseline, irls_tlp)
+from .solver import (Schedule, SolverConfig, _check_number, _check_positive,
+                     irls_constrained, irls_lq_baseline, irls_tlp)
 
 WORKERS_ENV = "TLPSPARSE_WORKERS"
 
@@ -85,7 +85,8 @@ class SolverSpec(Schedule):
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Full description of a success-rate experiment."""
+    """Full description of a success-rate experiment.  Invalid values
+    raise ValueError here, before any trial runs."""
 
     family: str
     M: int
@@ -101,12 +102,21 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if self.family not in ("gaussian", "dct"):
             raise ValueError("family must be 'gaussian' or 'dct'")
-        sp = tuple(int(s) for s in self.sparsities)
+        for name in ("M", "N", "trials"):
+            _check_positive(name, getattr(self, name), integral=True)
+        _check_number("master_seed", self.master_seed, integral=True)
+        if not isinstance(self.timing, bool):
+            raise ValueError(f"timing must be true or false, "
+                             f"got {self.timing!r}")
+        sp = tuple(self.sparsities)
+        for s in sp:
+            _check_positive("sparsities", s, integral=True)
         if not sp or any(b <= a for a, b in zip(sp, sp[1:])):
             raise ValueError("sparsity grid must be nonempty and strictly "
                              "increasing")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if sp[-1] >= self.N:
+            raise ValueError(f"sparsities must be below N={self.N}, "
+                             f"got {sp[-1]}")
         if not self.solvers:
             raise ValueError("at least one solver spec is required")
         object.__setattr__(self, "sparsities", sp)

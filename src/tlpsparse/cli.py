@@ -41,9 +41,10 @@ _PLAN_KEYS = ("kind", "family", "M", "N", "param", "sparsities", "trials",
               "threshold", "master_seed", "timing", "solvers",
               "a_grid", "p_grid", "sparsity")
 
-# solver-spec keys of plan files, mapped to SolverSpec fields; files and
-# flags spell the field lam as "lambda"
-_SPEC_KEYS = {"lambda" if f.name == "lam" else f.name: f
+# files and flags spell the field lam as "lambda"
+_SPELLING = {"lam": "lambda"}
+# solver-spec keys of plan files, mapped to SolverSpec fields
+_SPEC_KEYS = {_SPELLING.get(f.name, f.name): f
               for f in fields(bench_mod.SolverSpec)}
 # solve options (config keys and flags): the spec keys but label, plus s
 _SOLVE_KEYS = {**{k: f for k, f in _SPEC_KEYS.items() if k != "label"},
@@ -62,6 +63,15 @@ def _reject_unknown(d: dict, allowed, what: str) -> None:
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+
+
+def _as_written(spelling: dict, build, **kwargs):
+    """build(**kwargs); a ValueError names the field as the user spelled it."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        name, sep, rest = str(exc).partition(" ")
+        raise ValueError(spelling.get(name, name) + sep + rest) from None
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -90,7 +100,7 @@ def _solve_spec(args) -> tuple[bench_mod.SolverSpec, int]:
     if "s" not in opts:
         raise ValueError("target sparsity --s is required")
     s = opts.pop("s")
-    return bench_mod.SolverSpec(**opts), s
+    return _as_written(_SPELLING, bench_mod.SolverSpec, **opts), s
 
 
 def cmd_solve(args) -> int:
@@ -132,7 +142,8 @@ def cmd_solve(args) -> int:
 
 def _parse_spec(d: dict) -> bench_mod.SolverSpec:
     _reject_unknown(d, _SPEC_KEYS, "solver spec")
-    return bench_mod.SolverSpec(**{_SPEC_KEYS[k].name: v for k, v in d.items()})
+    return _as_written(_SPELLING, bench_mod.SolverSpec,
+                       **{_SPEC_KEYS[k].name: v for k, v in d.items()})
 
 
 def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
@@ -160,13 +171,17 @@ def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
                  else raw.get("threshold", 1e-3))
     solvers = tuple(_parse_spec(d) for d in raw.get("solvers",
                                                     [{"method": "tlp"}]))
-    sparsities = raw.get("sparsities", [raw.get("sparsity", 1)])
-    plan = bench_mod.ExperimentPlan(
-        family=raw["family"], M=int(raw["M"]), N=int(raw["N"]),
-        param=float(raw.get("param", 0.0)),
-        sparsities=tuple(int(s) for s in sparsities),
-        trials=int(trials), solvers=solvers, threshold=float(threshold),
-        master_seed=int(seed), timing=bool(raw.get("timing", True)))
+    # a sweep runs at its one "sparsity"
+    if kind == "sweep" or "sparsities" not in raw:
+        skey, sparsities = "sparsity", [raw.get("sparsity", 1)]
+    else:
+        skey, sparsities = "sparsities", raw["sparsities"]
+    plan = _as_written(
+        {"sparsities": skey}, bench_mod.ExperimentPlan,
+        family=raw["family"], M=raw["M"], N=raw["N"],
+        param=float(raw.get("param", 0.0)), sparsities=sparsities,
+        trials=trials, solvers=solvers, threshold=float(threshold),
+        master_seed=seed, timing=raw.get("timing", True))
     return kind, plan, raw
 
 
@@ -176,7 +191,7 @@ def cmd_bench(args) -> int:
                                       threshold=args.threshold)
     if kind == "sweep":
         rows = bench_mod.parameter_sweep(
-            raw["a_grid"], raw["p_grid"], int(raw["sparsity"]), plan)
+            raw["a_grid"], raw["p_grid"], plan.sparsities[0], plan)
         _write_text(bench_mod.sweep_to_csv(rows), args.out)
     else:
         result = bench_mod.run_experiment(plan)

@@ -38,10 +38,16 @@ from .penalty import PenaltyParams, penalty_tlp, penalty_lp
 from .sensing import SensingMatrix
 
 
-def _check_positive(name: str, value, integral: bool) -> None:
+def _check_number(name: str, value, integral: bool) -> None:
+    """Integers only if ``integral``, else any real number; bools are
+    neither."""
     kind, what = (Integral, "an integer") if integral else (Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_positive(name: str, value, integral: bool) -> None:
+    _check_number(name, value, integral)
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite")
 
@@ -215,19 +221,6 @@ def grad_f_w(A, y, params: PenaltyParams, lam: float, w: np.ndarray,
         - lam * (a + 1.0) * grad_phi_w(params, w, x) + lin
 
 
-def _route(M: int, N: int) -> str:
-    """SPD route for an M x N matrix: the one with fewer factor flops.
-
-    The dual forms the upper triangle of A D^-1 A^T by a rank-N update
-    (M^2 N flops) and factors it (M^3/3); the direct route factors the
-    N x N system (N^3/3) from a precomputed Gram matrix, so it wins only
-    for nearly square A.  The threshold charges the dual 2 M^2 N, a general
-    product's cost, so near the boundary it leans to the direct route:
-    64 x 128 factors 128 x 128 although the dual would take fewer flops.
-    """
-    return "woodbury" if 6 * M * M * N + M ** 3 < N ** 3 else "direct"
-
-
 def _scaled_gram(A: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Upper triangle of (A * scale) @ A.T for scale >= 0; zeros below.
 
@@ -255,12 +248,11 @@ def _cho_factor_spd(B: np.ndarray):
 
 
 class _SpdSolver:
-    """Solves (A^T A + diag(d)) x = A^T y + v, directly or via the m x m dual.
+    """Solves (A^T A + diag(d)) x = A^T y + v in the m x m dual, d > 0.
 
     ``y`` is fixed at construction (0 when omitted) and ``solve(v)`` takes
-    the rest of the right-hand side.  The direct route factors the N x N
-    system; ``gram`` lets outer loops reuse a precomputed A^T A.  The dual
-    route factors G = I + A D^-1 A^T and solves in residual form: with
+    the rest of the right-hand side.  The factored matrix is
+    G = I + A D^-1 A^T, and the solve runs in residual form: with
     r = y - A x,
 
         G r = y - A D^-1 v,    x = D^-1 (v + A^T r).
@@ -270,38 +262,22 @@ class _SpdSolver:
     log10(max 1/d) digits when some d are tiny, as on the support in every
     reweighting step.  The residual form computes the small r instead and
     keeps the backward error near machine precision there, at the same
-    cost.  ``method="auto"`` takes the route with fewer factor flops
-    (``_route``).  After each ``solve`` the attribute ``residual`` holds
-    y - A x: the dual's r, or one product on the direct route.
+    cost.  G is I plus a PSD matrix, so it is never singular.  For an
+    M x N matrix, forming G takes M^2 N flops and factoring it M^3/3, also
+    when M >= N.  After each ``solve`` the attribute ``residual`` holds
+    y - A x, the dual's r.
     """
 
-    def __init__(self, A: np.ndarray, d: np.ndarray, method: str = "auto",
-                 gram: np.ndarray | None = None,
+    def __init__(self, A: np.ndarray, d: np.ndarray,
                  y: np.ndarray | None = None):
-        if method == "auto":
-            method = _route(*A.shape)
-        self.method = method
         self._A = A
         self._y = np.zeros(A.shape[0]) if y is None else y
-        self.residual: np.ndarray | None = None
-        if method == "direct":
-            B = (A.T @ A) if gram is None else gram.copy()
-            B[np.diag_indices_from(B)] += d
-            self._factor = _cho_factor_spd(B)
-            self._Aty = A.T @ self._y
-        elif method == "woodbury":
-            self._dinv = 1.0 / d
-            G = _scaled_gram(A, self._dinv)
-            G[np.diag_indices_from(G)] += 1.0
-            self._factor = _cho_factor_spd(G)
-        else:
-            raise ValueError(f"unknown solve method {method!r}")
+        self._dinv = 1.0 / d
+        G = _scaled_gram(A, self._dinv)
+        G[np.diag_indices_from(G)] += 1.0
+        self._factor = _cho_factor_spd(G)
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        if self.method == "direct":
-            x = cho_solve(self._factor, self._Aty + v, check_finite=False)
-            self.residual = self._y - self._A @ x
-            return x
         r = cho_solve(self._factor, self._y - self._A @ (self._dinv * v),
                       check_finite=False)
         self.residual = r
@@ -309,9 +285,8 @@ class _SpdSolver:
 
 
 def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
-                   cfg: SolverConfig, x_init: np.ndarray | None = None,
-                   solve_method: str = "auto",
-                   gram: np.ndarray | None = None) -> DcaResult:
+                   cfg: SolverConfig,
+                   x_init: np.ndarray | None = None) -> DcaResult:
     """Difference-of-convex iteration for the weighted subproblem.
 
     Each step linearizes the concave part at the current iterate and
@@ -320,6 +295,7 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
         [A^T A + 2 c I + (2 lam (a+1)/a) W] x = A^T y + v,
         v = lam (a+1) grad_phi_w(x) + 2 c x.
 
+    All steps share one factor of the m x m dual (``_SpdSolver``).
     Stops when the sup-norm step falls below inner_tol relative to the
     iterate scale, or at inner_max.  The recorded f_w values are
     nonincreasing (both split halves are strongly convex with modulus
@@ -333,8 +309,7 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
     a = params.a
     lam, c = cfg.lam, cfg.c
     coef = 2.0 * lam * (a + 1.0) / a
-    solver = _SpdSolver(A, 2.0 * c + coef * w, method=solve_method,
-                        gram=gram, y=y)
+    solver = _SpdSolver(A, 2.0 * c + coef * w, y=y)
     if x_init is None:
         x, res = np.zeros(A.shape[1]), y
     else:
@@ -444,12 +419,11 @@ def irls_tlp(A, y, params: PenaltyParams, cfg: SolverConfig) -> SolveResult:
     Each outer step is one ``dca_subproblem`` solve at the frozen weights.
     """
     A, y = _problem(A, y, cfg)
-    gram = A.T @ A if _route(*A.shape) == "direct" else None
     obj_trace: list[float] = []
     inner_traces: list[list[float]] = []
 
     def dca_step(x, w, eps):
-        inner = dca_subproblem(A, y, params, w, cfg, gram=gram)
+        inner = dca_subproblem(A, y, params, w, cfg)
         inner_traces.append([float(v) for v in inner.f_trace])
         res = inner.residual
         obj_trace.append(float(cfg.lam * penalty_tlp(params, inner.x)
@@ -591,12 +565,11 @@ def irls_lq_baseline(A, y, q: float, cfg: SolverConfig) -> SolveResult:
     if not (0 < q <= 1):
         raise ValueError("q must lie in (0, 1]")
     A, y = _problem(A, y, cfg)
-    gram = A.T @ A if _route(*A.shape) == "direct" else None
     zero = np.zeros(A.shape[1])
     obj_trace: list[float] = []
 
     def ridge_step(x, w, eps):
-        spd = _SpdSolver(A, 2.0 * cfg.lam * w, gram=gram, y=y)
+        spd = _SpdSolver(A, 2.0 * cfg.lam * w, y=y)
         x = spd.solve(zero)
         res = spd.residual
         obj_trace.append(float(cfg.lam * penalty_lp(q, x) + 0.5 * (res @ res)))

@@ -29,6 +29,19 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             tiny_plan(trials=0)
 
+    @pytest.mark.parametrize("over", [
+        {"M": 16.0}, {"N": 32.5}, {"trials": 3.0}, {"trials": True},
+        {"sparsities": (1, 3.0)}, {"master_seed": 7.0},
+        {"timing": 0}, {"sparsities": (0, 3)}])
+    def test_rejects_coercible_numbers(self, over):
+        with pytest.raises(ValueError, match=next(iter(over))):
+            tiny_plan(**over)
+
+    def test_rejects_sparsity_at_or_above_n(self):
+        with pytest.raises(ValueError, match="below N=32"):
+            tiny_plan(sparsities=(1, 32))
+        tiny_plan(sparsities=(1, 31), master_seed=0)
+
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
             tiny_plan(family="bernoulli")

@@ -152,6 +152,22 @@ class TestSolve:
         if named:
             assert f"{named} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_lambda_named_as_written(self, tmp_path, identity_matrix,
+                                     capsys, how):
+        y = tmp_path / "y.txt"
+        write_vector(y, [3.0, 0.0, 0.0, 0.0])
+        args = ["solve", "--matrix", str(identity_matrix),
+                "--measurements", str(y), "--s", "1"]
+        if how == "flag":
+            args.append("--lambda=-1e-6")
+        else:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({"lambda": -1e-6}))
+            args += ["--config", str(cfgfile)]
+        assert main(args) == 2
+        assert "lambda must be positive" in capsys.readouterr().err
+
     def test_every_knob_has_a_flag_and_a_plan_key(self, tmp_path):
         from dataclasses import fields
         from tlpsparse.cli import build_parser, parse_plan_file
@@ -228,7 +244,7 @@ class TestBench:
             assert plan.trials >= 1
 
     @pytest.mark.parametrize("bad, named", [
-        ({"lambda": -1e-6}, "lam must be positive"),
+        ({"lambda": -1e-6}, "lambda must be positive"),
         ({"outer_max": 0}, "outer_max must be positive"),
         ({"method": "lq", "q": 2.0}, "q must lie in"),
         ({"inner_max": 20.0}, "inner_max must be an integer"),
@@ -240,6 +256,29 @@ class TestBench:
         plan.write_text(json.dumps(d))
         assert main(["bench", "--plan", str(plan)]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("over, named", [
+        ({"M": 12.9}, "M must be an integer, got 12.9"),
+        ({"N": 32.0}, "N must be an integer, got 32.0"),
+        ({"trials": 2.7}, "trials must be an integer, got 2.7"),
+        ({"sparsities": [2.9]}, "sparsities must be an integer, got 2.9"),
+        ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
+        ({"master_seed": True}, "master_seed must be an integer, got True"),
+        ({"timing": "false"}, "timing must be true or false, got 'false'"),
+        ({"kind": "sweep", "a_grid": [1.0], "p_grid": [0.7],
+          "sparsity": 2.9}, "sparsity must be an integer, got 2.9"),
+        ({"sparsities": [2, 32]}, "sparsities must be below N=32, got 32"),
+        ({"kind": "sweep", "a_grid": [1.0], "p_grid": [0.7],
+          "sparsity": 40}, "sparsity must be below N=32, got 40")])
+    def test_bad_plan_numbers_exit_2(self, tmp_path, capsys, over, named):
+        # checked before any trial runs, naming the key as written
+        d = {**self.plan_dict(), **over}
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(d))
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--plan", str(plan), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTheoryCommands:

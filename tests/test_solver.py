@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from tlpsparse.penalty import PenaltyParams, penalty_tlp
 from tlpsparse.sensing import gen_gaussian, gen_signal
 from tlpsparse.solver import (SolverConfig, WeightState, _constrained_ls,
-                              _reweight, _route, _scaled_gram, _SpdSolver,
+                              _reweight, _scaled_gram, _SpdSolver,
                               dca_subproblem, f_w_value,
                               grad_f_w, grad_phi_w, irls_constrained,
                               irls_lq_baseline, irls_tlp, j_closed_form,
@@ -155,17 +155,9 @@ class TestSpdSystem:
         A = rng.standard_normal((10, 50))
         d = np.exp(rng.uniform(-1, 1, 50))
         rhs = rng.standard_normal(50)
-        x_direct = _SpdSolver(A, d, method="direct").solve(rhs)
-        x_wood = _SpdSolver(A, d, method="woodbury").solve(rhs)
-        assert np.linalg.norm(x_wood - x_direct) <= \
-            1e-10 * np.linalg.norm(x_direct)
-
-    def test_auto_picks_woodbury_for_wide(self):
-        rng = np.random.default_rng(23)
-        assert _SpdSolver(rng.standard_normal((5, 40)),
-                          np.ones(40)).method == "woodbury"
-        assert _SpdSolver(rng.standard_normal((5, 12)),
-                          np.ones(12)).method == "direct"
+        x_ref = np.linalg.solve(A.T @ A + np.diag(d), rhs)
+        x = _SpdSolver(A, d).solve(rhs)
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
 def _dca_like_system(rng, M, N, s):
@@ -184,40 +176,30 @@ def _dca_like_system(rng, M, N, s):
 
 
 class TestSpdRoutes:
-    def test_route_rule(self):
-        # dual iff 2 M^2 N + M^3/3 < N^3/3: the acceptance and wide shapes
-        # take it, square and nearly square matrices do not
-        assert _route(64, 256) == _route(256, 1024) == "woodbury"
-        assert _route(100, 1500) == _route(16, 64) == "woodbury"
-        assert _route(64, 64) == _route(64, 128) == "direct"
-
     def test_backward_residual_both_routes(self):
         rng = np.random.default_rng(41)
         for s in (8, 63, 100):
             for _ in range(3):
                 A, d, y, v = _dca_like_system(rng, 64, 256, s)
                 b = A.T @ y + v
-                for method in ("direct", "woodbury"):
-                    x = _SpdSolver(A, d, method=method, y=y).solve(v)
-                    res = A.T @ (A @ x) + d * x - b
-                    scale = (np.linalg.norm(A, 2) ** 2 * np.linalg.norm(x)
-                             + np.linalg.norm(d * x) + np.linalg.norm(b))
-                    assert np.linalg.norm(res) <= 1e-13 * scale, (s, method)
+                x = _SpdSolver(A, d, y=y).solve(v)
+                res = A.T @ (A @ x) + d * x - b
+                scale = (np.linalg.norm(A, 2) ** 2 * np.linalg.norm(x)
+                         + np.linalg.norm(d * x) + np.linalg.norm(b))
+                assert np.linalg.norm(res) <= 1e-13 * scale, s
 
     def test_backward_residual_both_routes_256x1024(self):
         rng = np.random.default_rng(43)
         for s in (40, 128):
             A, d, y, v = _dca_like_system(rng, 256, 1024, s)
             b = A.T @ y + v
-            for method in ("direct", "woodbury"):
-                x = _SpdSolver(A, d, method=method, y=y).solve(v)
-                res = A.T @ (A @ x) + d * x - b
-                scale = (np.linalg.norm(A, 2) ** 2 * np.linalg.norm(x)
-                         + np.linalg.norm(d * x) + np.linalg.norm(b))
-                assert np.linalg.norm(res) <= 1e-13 * scale, (s, method)
+            x = _SpdSolver(A, d, y=y).solve(v)
+            res = A.T @ (A @ x) + d * x - b
+            scale = (np.linalg.norm(A, 2) ** 2 * np.linalg.norm(x)
+                     + np.linalg.norm(d * x) + np.linalg.norm(b))
+            assert np.linalg.norm(res) <= 1e-13 * scale, s
 
-    @pytest.mark.parametrize("method", ["direct", "woodbury"])
-    def test_dca_trace_ends_at_f_w_value(self, method):
+    def test_dca_trace_ends_at_f_w_value(self):
         # the trace is recorded from the solve's own residual; its last
         # entry must agree with a fresh f_w_value at the returned x
         rng = np.random.default_rng(53)
@@ -227,43 +209,24 @@ class TestSpdRoutes:
             A, d, y, _ = _dca_like_system(rng, 32, 128, 5)
             w = d / d.max() * 1e6
             for x_init in (None, rng.standard_normal(128)):
-                res = dca_subproblem(A, y, params, w, cfg, x_init=x_init,
-                                     solve_method=method)
+                res = dca_subproblem(A, y, params, w, cfg, x_init=x_init)
                 want = f_w_value(A, y, params, cfg.lam, w, res.x)
                 assert res.f_trace[-1] == pytest.approx(want, rel=1e-12)
                 assert np.allclose(res.residual, y - A @ res.x,
                                    rtol=0, atol=1e-12 * np.linalg.norm(y))
 
-    def test_dca_same_on_both_routes(self):
-        # 16 x 64 takes the dual route under "auto"; forcing either route
-        # must give the same iteration count and iterates within 1e-9
-        rng = np.random.default_rng(37)
-        params = PenaltyParams(1.0, 0.7)
-        cfg = SolverConfig(s=5, inner_max=40)
-        for _ in range(10):
-            A = rng.standard_normal((16, 64))
-            S = rng.choice(64, 5, replace=False)
-            truth = np.zeros(64)
-            truth[S] = rng.standard_normal(5)
-            w = 10.0 ** rng.uniform(0, 12, 64)
-            w[S] = 10.0 ** rng.uniform(-1, 0, 5)
-            direct = dca_subproblem(A, A @ truth, params, w, cfg,
-                                    solve_method="direct")
-            dual = dca_subproblem(A, A @ truth, params, w, cfg,
-                                  solve_method="woodbury")
-            assert direct.iters == dual.iters
-            assert np.max(np.abs(direct.x - dual.x)) <= \
-                1e-9 * max(1.0, float(np.max(np.abs(direct.x))))
-
     def test_singular_system_gets_ridge_and_warns(self):
-        # a zero column makes A^T A exactly singular; with d = 0 the direct
-        # Cholesky factorization fails and the ridge fallback takes over
+        # a zero row makes A D A^T exactly singular, so the Cholesky
+        # factorization in the constrained step fails and the ridge
+        # fallback takes over; y = A x0 keeps the system consistent
         rng = np.random.default_rng(47)
         A = rng.standard_normal((6, 12))
-        A[:, 3] = 0.0
+        A[3] = 0.0
+        y = A @ rng.standard_normal(12)
         with pytest.warns(RuntimeWarning, match="ridge"):
-            solver = _SpdSolver(A, np.zeros(12), method="direct")
-        assert np.all(np.isfinite(solver.solve(rng.standard_normal(12))))
+            x = _constrained_ls(A, y, np.ones(12))
+        assert np.all(np.isfinite(x))
+        assert np.linalg.norm(A @ x - y) <= 2e-11 * np.linalg.norm(y)
 
 
 class TestScaledGram:
@@ -376,7 +339,7 @@ class TestIrlsTlp:
         assert "objective_trace" in blob
 
     def test_wide_matrix_uses_dual_solve_and_recovers(self):
-        # 20 x 120 is wide enough that _route takes the m x m dual
+        # every SPD step of this solve factors the 20 x 20 dual
         from tlpsparse.sensing import gen_dct
         A = gen_dct(20, 120, 2.0, seed=303)
         truth = gen_signal(120, 2, seed=703)
