@@ -105,6 +105,8 @@ class ExperimentPlan:
         for name in ("M", "N", "trials"):
             _check_positive(name, getattr(self, name), integral=True)
         _check_number("master_seed", self.master_seed, integral=True)
+        _check_number("param", self.param, integral=False)
+        _check_positive("threshold", self.threshold, integral=False)
         if not isinstance(self.timing, bool):
             raise ValueError(f"timing must be true or false, "
                              f"got {self.timing!r}")
@@ -274,6 +276,9 @@ def parameter_sweep(a_grid, p_grid, sparsity: int, plan: ExperimentPlan,
     run for the same solver spec, so a degenerate 1 x 1 grid reproduces
     the corresponding cell of the success table.
     """
+    for name, grid in (("a_grid", a_grid), ("p_grid", p_grid)):
+        for v in grid:
+            _check_number(name, v, integral=False)
     a_grid = [float(a) for a in a_grid]
     p_grid = [float(p) for p in p_grid]
     if not a_grid or not p_grid:

@@ -3,7 +3,9 @@
 File formats
 ------------
 * matrices: the plain-text CSV of :mod:`tlpsparse.sensing` — header line
-  "M,N", then M comma-separated rows, 17 significant digits;
+  "M,N", then M comma-separated rows, 17 significant digits (``%.17g``);
+  the reader is numpy's C parser, so values read back bit for bit, and
+  :func:`~tlpsparse.sensing.load_matrix_csv` lists the accepted forms;
 * vectors: plain text, one value per line;
 * solve results: JSON with the recovered vector and all traces;
 * bench plans: JSON (see README for the schema); unknown keys are
@@ -179,8 +181,8 @@ def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
     plan = _as_written(
         {"sparsities": skey}, bench_mod.ExperimentPlan,
         family=raw["family"], M=raw["M"], N=raw["N"],
-        param=float(raw.get("param", 0.0)), sparsities=sparsities,
-        trials=trials, solvers=solvers, threshold=float(threshold),
+        param=raw.get("param", 0.0), sparsities=sparsities,
+        trials=trials, solvers=solvers, threshold=threshold,
         master_seed=seed, timing=raw.get("timing", True))
     return kind, plan, raw
 

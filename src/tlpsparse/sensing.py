@@ -171,35 +171,73 @@ def normalize_columns(A: SensingMatrix) -> SensingMatrix:
 def save_matrix_csv(A: SensingMatrix | np.ndarray, path: str) -> None:
     """Write the plain-text matrix format: header line "M,N", then M rows.
 
-    Values carry 17 significant digits, enough for exact float64
-    round-trips.
+    Values carry 17 significant digits (``%.17g``, the bytes of
+    ``f"{v:.17g}"``), enough for exact float64 round-trips.  One row is
+    formatted at a time, so memory stays at one row of text.
     """
     entries = A.entries if isinstance(A, SensingMatrix) else np.asarray(A, float)
     M, N = entries.shape
+    row_fmt = ",".join(["%.17g"] * N) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{M},{N}\n")
         for row in entries:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(row_fmt % tuple(row.tolist()))
 
 
 def load_matrix_csv(path: str) -> SensingMatrix:
-    """Parse the format written by :func:`save_matrix_csv`."""
-    with open(path, "r", encoding="ascii") as fh:
+    """Parse the format written by :func:`save_matrix_csv`.
+
+    Rows go through numpy's C parser, which rounds correctly, so every
+    value written by :func:`save_matrix_csv` reads back bit for bit.  A
+    value is a decimal float with optional sign, fraction and exponent
+    (``-1.5e-3``, ``.5``, ``7``), spaces or tabs around it allowed; ``inf``
+    and ``nan`` parse but are rejected as non-finite.  Underscores
+    (``1_0``), hex and ``#`` comments are errors.  Blank lines are
+    skipped and CRLF endings accepted.  Any malformed file raises
+    ValueError naming the path, and a bad row also its 1-based line
+    (counting the header and blank lines).
+    """
+    # a non-ASCII byte becomes U+FFFD, so it fails to parse on its line
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline().strip()
         try:
             M, N = (int(tok) for tok in header.split(","))
         except ValueError as exc:
             raise ValueError(f"bad matrix header {header!r} in {path}") from exc
-        rows = []
+        try:
+            entries = np.loadtxt((ln for ln in fh if not ln.isspace()),
+                                 delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(_bad_line(path, N) or f"{path}: {exc}") from exc
+    if entries.size and entries.shape[1] != N:
+        raise ValueError(_bad_line(path, N))
+    if len(entries) != M:
+        raise ValueError(f"{path}: expected {M} rows, got {len(entries)}")
+    try:
+        return SensingMatrix(entries=entries, family="external")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _bad_line(path: str, N: int) -> str | None:
+    """Name the first row of a matrix file that does not parse as N values.
+
+    Only runs once a read has failed, so it may scan in Python.
+    """
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        fh.readline()
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            vals = [float(tok) for tok in line.split(",")]
-            if len(vals) != N:
-                raise ValueError(f"{path}:{lineno}: expected {N} values, "
-                                 f"got {len(vals)}")
-            rows.append(vals)
-    if len(rows) != M:
-        raise ValueError(f"{path}: expected {M} rows, got {len(rows)}")
-    return SensingMatrix(entries=np.array(rows), family="external")
+            toks = line.split(",")
+            if len(toks) != N:
+                return f"{path}:{lineno}: expected {N} values, got {len(toks)}"
+            for tok in toks:
+                try:
+                    if "_" in tok:  # float() takes "1_0", the C parser not
+                        raise ValueError(tok)
+                    float(tok)
+                except ValueError:
+                    return f"{path}:{lineno}: bad value {tok.strip()!r}"
+    return None

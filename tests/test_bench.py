@@ -32,10 +32,26 @@ class TestPlanValidation:
     @pytest.mark.parametrize("over", [
         {"M": 16.0}, {"N": 32.5}, {"trials": 3.0}, {"trials": True},
         {"sparsities": (1, 3.0)}, {"master_seed": 7.0},
-        {"timing": 0}, {"sparsities": (0, 3)}])
+        {"timing": 0}, {"sparsities": (0, 3)}, {"param": "0.5"},
+        {"param": True}, {"threshold": True}, {"threshold": "0.1"},
+        {"threshold": 0.0}])
     def test_rejects_coercible_numbers(self, over):
         with pytest.raises(ValueError, match=next(iter(over))):
             tiny_plan(**over)
+
+    @pytest.mark.parametrize("a_grid, p_grid, named", [
+        ([True], [0.7], "a_grid must be a number, got True"),
+        ([1.0], ["0.7"], "p_grid must be a number, got '0.7'")])
+    def test_rejects_coercible_grid_values(self, a_grid, p_grid, named):
+        with pytest.raises(ValueError, match=named):
+            parameter_sweep(a_grid, p_grid, 1, tiny_plan())
+
+    def test_integral_floats_accepted(self):
+        plan = tiny_plan(family="dct", param=1, threshold=1, sparsities=(1,),
+                         trials=1)
+        assert to_csv(run_experiment(plan)).splitlines()[1].split(",")[7] \
+            == "1.0"
+        assert parameter_sweep([1], [1], 1, plan)[0][:2] == (1.0, 1.0)
 
     def test_rejects_sparsity_at_or_above_n(self):
         with pytest.raises(ValueError, match="below N=32"):

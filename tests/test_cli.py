@@ -204,6 +204,14 @@ class TestBench:
         assert main(["bench", "--plan", str(plan), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_integer_plan_numbers_print_as_floats(self, tmp_path):
+        d = {**self.plan_dict(), "family": "dct", "param": 1, "threshold": 1}
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(d))
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--plan", str(plan), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split(",")[7] == "1.0"
+
     def test_flag_overrides_trials(self, tmp_path):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(self.plan_dict()))
@@ -269,7 +277,14 @@ class TestBench:
           "sparsity": 2.9}, "sparsity must be an integer, got 2.9"),
         ({"sparsities": [2, 32]}, "sparsities must be below N=32, got 32"),
         ({"kind": "sweep", "a_grid": [1.0], "p_grid": [0.7],
-          "sparsity": 40}, "sparsity must be below N=32, got 40")])
+          "sparsity": 40}, "sparsity must be below N=32, got 40"),
+        ({"threshold": True}, "threshold must be a number, got True"),
+        ({"threshold": 0}, "threshold must be positive"),
+        ({"param": "0.0"}, "param must be a number, got '0.0'"),
+        ({"kind": "sweep", "a_grid": [True], "p_grid": [0.7],
+          "sparsity": 1}, "a_grid must be a number, got True"),
+        ({"kind": "sweep", "a_grid": [1.0], "p_grid": ["0.7"],
+          "sparsity": 1}, "p_grid must be a number, got '0.7'")])
     def test_bad_plan_numbers_exit_2(self, tmp_path, capsys, over, named):
         # checked before any trial runs, naming the key as written
         d = {**self.plan_dict(), **over}

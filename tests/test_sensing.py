@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,74 @@ class TestMatrixCsv:
         path.write_text("2,3\n1,2,3\n1,2\n")
         with pytest.raises(ValueError):
             load_matrix_csv(str(path))
+
+    # every error names the file; a bad row names its 1-based line,
+    # counting the header and blank lines
+    @pytest.mark.parametrize("text, says", [
+        ("2,3\n1,2,3\n1,2\n", ":3: expected 3 values, got 2"),
+        ("2,3\n\n1,2,3\n \n1,2\n", ":5: expected 3 values, got 2"),
+        ("2,3\n1,2\n3,4\n", ":2: expected 3 values, got 2"),
+        ("1,3\n1,2,3,\n", ":2: expected 3 values, got 4"),
+        ("2,3\n1,2,3\n1,x,3\n", ":3: bad value 'x'"),
+        ("1,2\n1_0,2\n", ":2: bad value '1_0'"),
+        ("1,2\n1,2\xe9\n", ":2: bad value '2\ufffd'"),
+        ("2,3\n# note\n1,2,3\n4,5,6\n", ":2: expected 3 values, got 1"),
+        ("2,1\n# note\n1\n2\n", ":2: bad value '# note'"),
+        ("3,2\n1,2\n3,4\n", ": expected 3 rows, got 2"),
+        ("1,2\n1,2\n3,4\n", ": expected 1 rows, got 2"),
+        ("1,2\nnan,1\n", ": entries must be finite")])
+    def test_malformed_file_names_path_and_line(self, tmp_path, text, says):
+        path = tmp_path / "rag.csv"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}{says}")):
+            load_matrix_csv(str(path))
+
+    @pytest.mark.filterwarnings("ignore:loadtxt")
+    def test_header_only_file_has_no_rows(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("2,2\n\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected 2 "
+                                                       f"rows, got 0")):
+            load_matrix_csv(str(path))
+
+    def test_bad_header_names_path(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("2;3\n1,2,3\n1,2,3\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad matrix header '2;3' in {path}")):
+            load_matrix_csv(str(path))
+
+    def test_blank_lines_crlf_and_spaces_load(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"2,3\r\n\r\n 1 ,\t-2.5e-1, +3 \r\n  \r\n.5,7,-0\r\n\n")
+        back = load_matrix_csv(str(path)).entries
+        assert np.array_equal(back, [[1.0, -0.25, 3.0], [0.5, 7.0, 0.0]])
+        assert np.signbit(back[1, 2])
+
+    def test_writer_bytes_match_per_value_format(self, tmp_path):
+        awkward = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 60, 0.1,
+                   *(10.0 ** np.arange(-300, 301, 50)),
+                   *(-np.pi * 10.0 ** np.arange(-300, 301, 60))]
+        A = np.array(awkward).reshape(2, 17)
+        path = tmp_path / "a.csv"
+        save_matrix_csv(A, str(path))
+        expected = "2,17\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in A)
+        assert path.read_bytes() == expected.encode("ascii")
+        back = load_matrix_csv(str(path)).entries
+        assert np.array_equal(back.view(np.int64), A.view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(1, 9), (7, 1), (1, 1)])
+    def test_round_trip_single_row_or_column(self, tmp_path, shape):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal(shape)
+        A.flat[0] = -0.0
+        path = tmp_path / "a.csv"
+        save_matrix_csv(A, str(path))
+        back = load_matrix_csv(str(path)).entries
+        assert back.shape == shape
+        assert np.array_equal(back.view(np.int64), A.view(np.int64))
 
 
 class TestMisc:
