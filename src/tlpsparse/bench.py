@@ -5,24 +5,21 @@ more solver configurations; the harness runs every (solver, sparsity,
 trial) cell with a fresh matrix and a fresh signal, counts recoveries
 below the relative-error threshold, and emits one CSV row per cell.
 
-Per-trial random streams are derived from (master seed, canonical solver
-id, sparsity, trial index), so the table is a pure function of the plan:
-serial and parallel executions produce the same rows, and re-running a
-plan file reproduces it byte for byte (timing column aside — disable
-timing in the plan when byte identity matters) as long as the BLAS
-thread count stays fixed: threaded BLAS sums in a different order, which
-moves ``mean_rel_err`` in its last digits.  The solver's rank-k Gram
-update (``dsyrk``) is deterministic at a fixed thread count, so it adds
-no further condition.
+Trials run serially, in plan order.  Per-trial random streams are derived
+from (master seed, canonical solver id, sparsity, trial index), so the
+table is a pure function of the plan: re-running a plan file reproduces it
+byte for byte (timing column aside — disable timing in the plan when byte
+identity matters) as long as the BLAS thread count stays fixed: threaded
+BLAS sums in a different order, which moves ``mean_rel_err`` in its last
+digits.  The solver's rank-k Gram update (``dsyrk``) is deterministic at a
+fixed thread count, so it adds no further condition.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -31,8 +28,6 @@ from .penalty import PenaltyParams
 from .sensing import derive_seed, gen_dct, gen_gaussian, gen_signal
 from .solver import (Schedule, SolverConfig, _check_number, _check_positive,
                      irls_constrained, irls_lq_baseline, irls_tlp)
-
-WORKERS_ENV = "TLPSPARSE_WORKERS"
 
 CSV_HEADER = ("solver,a,p,kappa,family,M,N,param,sparsity,trials,"
               "successes,success_rate,mean_rel_err,mean_time_ms")
@@ -83,18 +78,19 @@ class SolverSpec(Schedule):
                                     for f in fields(Schedule)})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentPlan:
     """Full description of a success-rate experiment.  Invalid values
-    raise ValueError here, before any trial runs."""
+    raise ValueError here, before any trial runs.  The defaults are those
+    of plan files, which the CLI reads through this class."""
 
     family: str
     M: int
     N: int
-    param: float
+    param: float = 0.0
     sparsities: tuple[int, ...]
-    trials: int
-    solvers: tuple[SolverSpec, ...]
+    trials: int = 20
+    solvers: tuple[SolverSpec, ...] = (SolverSpec(),)
     threshold: float = 1e-3
     master_seed: int = 0
     timing: bool = True
@@ -210,35 +206,16 @@ def run_trial(plan: ExperimentPlan, spec: SolverSpec, sparsity: int,
                        wall_time_ms=elapsed_ms, outer_iters=outer)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    return max(1, workers)
+def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
+    """Run every cell of the plan, one trial after another.
 
-
-def run_experiment(plan: ExperimentPlan,
-                   workers: int | None = None) -> ExperimentResult:
-    """Run every cell of the plan; schedule never affects the output.
-
-    ``workers`` > 1 fans trials out to a thread pool (the heavy lifting is
-    BLAS, which releases the GIL); defaults to the TLPSPARSE_WORKERS
-    environment variable, or serial.
+    One cell per position in ``plan.solvers``: specs with equal canonical
+    ids share instances but not rows.
     """
-    workers = _resolve_workers(workers)
-    grid = list(itertools.product(plan.solvers, plan.sparsities))
-    tasks = [(spec, sp, t) for spec, sp in grid for t in range(plan.trials)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(
-                lambda args: run_trial(plan, *args), tasks))
-    else:
-        records = [run_trial(plan, *args) for args in tasks]
-
-    # one cell per position in plan.solvers: specs with equal canonical
-    # ids share instances but not rows
-    cells = []
-    for k, (spec, sp) in enumerate(grid):
-        recs = records[k * plan.trials:(k + 1) * plan.trials]
+    cells, records = [], []
+    for spec, sp in itertools.product(plan.solvers, plan.sparsities):
+        recs = [run_trial(plan, spec, sp, t) for t in range(plan.trials)]
+        records.extend(recs)
         cells.append(CellStats(
             spec=spec, sparsity=sp, trials=len(recs),
             successes=sum(r.success for r in recs),
@@ -268,30 +245,36 @@ def to_csv(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parameter_sweep(a_grid, p_grid, sparsity: int, plan: ExperimentPlan,
-                    workers: int | None = None) -> list[tuple[float, float, int, float]]:
+def parameter_sweep(a_grid, p_grid, sparsity: int, plan: ExperimentPlan
+                    ) -> list[tuple[float, float, int, float]]:
     """Success rate over an (a, p) grid at one fixed sparsity.
 
-    Each grid point runs exactly the trials that ``run_experiment`` would
-    run for the same solver spec, so a degenerate 1 x 1 grid reproduces
-    the corresponding cell of the success table.
+    The grid runs as one plan at ``sparsity`` whose solvers are the grid
+    points, a-major: tlp specs that copy ``plan.solvers[0]``'s schedule.
+    Every spec is built, and so checked, before any trial runs.  Each
+    point runs exactly the trials that ``run_experiment`` runs for its
+    spec, so every row is the success rate of that spec's cell.
     """
+    grids = []
     for name, grid in (("a_grid", a_grid), ("p_grid", p_grid)):
+        try:
+            grid = list(grid)
+        except TypeError:
+            raise ValueError(f"{name} must be a list of numbers, "
+                             f"got {grid!r}") from None
         for v in grid:
             _check_number(name, v, integral=False)
-    a_grid = [float(a) for a in a_grid]
-    p_grid = [float(p) for p in p_grid]
-    if not a_grid or not p_grid:
+        grids.append([float(v) for v in grid])
+    if not all(grids):
         raise ValueError("grids must be nonempty")
+    points = list(itertools.product(*grids))
     base = plan.solvers[0]
-    rows = []
-    for a in a_grid:
-        for p in p_grid:
-            spec = replace(base, method="tlp", a=a, p=p, label=None)
-            cell_plan = replace(plan, sparsities=(sparsity,), solvers=(spec,))
-            res = run_experiment(cell_plan, workers=workers)
-            rows.append((a, p, sparsity, res.cells[0].success_rate))
-    return rows
+    specs = tuple(replace(base, method="tlp", a=a, p=p, label=None)
+                  for a, p in points)
+    result = run_experiment(replace(plan, sparsities=(sparsity,),
+                                    solvers=specs))
+    return [(a, p, sparsity, cell.success_rate)
+            for (a, p), cell in zip(points, result.cells)]
 
 
 def sweep_to_csv(rows) -> str:

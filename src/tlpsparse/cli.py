@@ -6,14 +6,17 @@ File formats
   "M,N", then M comma-separated rows, 17 significant digits (``%.17g``);
   the reader is numpy's C parser, so values read back bit for bit, and
   :func:`~tlpsparse.sensing.load_matrix_csv` lists the accepted forms;
-* vectors: plain text, one value per line;
+* vectors: plain text, one value per line, values as in matrices
+  (:func:`~tlpsparse.sensing.load_vector`);
 * solve results: JSON with the recovered vector and all traces;
-* bench plans: JSON (see README for the schema); unknown keys are
-  rejected so typos fail loudly.
+* bench plans: JSON (see README for the schema); the keys are the
+  fields of :class:`~tlpsparse.bench.ExperimentPlan`, with its defaults,
+  plus ``kind`` and the sweep keys; unknown keys are rejected so typos
+  fail loudly.
 
 Exit codes: 0 solver/tool completed (regardless of convergence status),
-2 usage or input error, 3 dimension mismatch.  Worker count for bench is
-taken from the TLPSPARSE_WORKERS environment variable.
+2 usage or input error, 3 dimension mismatch.  Bench runs its trials
+serially.
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from . import bench as bench_mod
 from .penalty import PenaltyParams, relaxation_degree
-from .sensing import gen_dct, gen_gaussian, load_matrix_csv, save_matrix_csv
+from .sensing import (gen_dct, gen_gaussian, load_matrix_csv, load_vector,
+                      save_matrix_csv)
 # irls_* are not called here; benchmarks/tracing.py wraps them at install
 from .solver import (SolverConfig, irls_constrained,  # noqa: F401
                      irls_lq_baseline, irls_tlp)
@@ -39,9 +43,8 @@ class DimensionError(ValueError):
     """Input shapes disagree; maps to exit code 3."""
 
 
-_PLAN_KEYS = ("kind", "family", "M", "N", "param", "sparsities", "trials",
-              "threshold", "master_seed", "timing", "solvers",
-              "a_grid", "p_grid", "sparsity")
+# plan-file keys beyond the ExperimentPlan fields
+_SWEEP_KEYS = ("a_grid", "p_grid", "sparsity")
 
 # files and flags spell the field lam as "lambda"
 _SPELLING = {"lam": "lambda"}
@@ -51,14 +54,6 @@ _SPEC_KEYS = {_SPELLING.get(f.name, f.name): f
 # solve options (config keys and flags): the spec keys but label, plus s
 _SOLVE_KEYS = {**{k: f for k, f in _SPEC_KEYS.items() if k != "label"},
                "s": next(f for f in fields(SolverConfig) if f.name == "s")}
-
-
-def _load_vector(path: str) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        vals = [float(line.strip()) for line in fh if line.strip()]
-    if not vals:
-        raise ValueError(f"no values found in {path}")
-    return np.array(vals)
 
 
 def _reject_unknown(d: dict, allowed, what: str) -> None:
@@ -112,13 +107,13 @@ def cmd_solve(args) -> int:
 
     truth = None
     if args.truth:
-        truth = _load_vector(args.truth)
+        truth = load_vector(args.truth)
         if truth.size != N:
             raise DimensionError(
                 f"truth vector has length {truth.size}, matrix has N={N}")
         y = A.entries @ truth
     elif args.measurements:
-        y = _load_vector(args.measurements)
+        y = load_vector(args.measurements)
         if y.size != M:
             raise DimensionError(
                 f"measurement vector has length {y.size}, matrix has M={M}")
@@ -152,38 +147,39 @@ def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
     """Load and validate a plan file; returns (kind, plan, raw dict).
 
     The optional arguments override the corresponding plan fields (the
-    flag-beats-file rule).
+    flag-beats-file rule).  Keys the file omits take the
+    ``ExperimentPlan`` defaults.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: plan must be a JSON object")
-    _reject_unknown(raw, _PLAN_KEYS, "plan")
+    plan_fields = fields(bench_mod.ExperimentPlan)
+    names = [f.name for f in plan_fields]
+    _reject_unknown(raw, names + ["kind", *_SWEEP_KEYS], "plan")
     kind = raw.get("kind", "success_rate")
     if kind not in ("success_rate", "sweep"):
         raise ValueError(f"unknown plan kind {kind!r}")
     if kind == "sweep":
-        for key in ("a_grid", "p_grid", "sparsity"):
+        for key in _SWEEP_KEYS:
             if key not in raw:
                 raise ValueError(f"sweep plan requires {key!r}")
 
-    trials = trials if trials is not None else raw.get("trials", 20)
-    seed = seed if seed is not None else raw.get("master_seed", 0)
-    threshold = (threshold if threshold is not None
-                 else raw.get("threshold", 1e-3))
-    solvers = tuple(_parse_spec(d) for d in raw.get("solvers",
-                                                    [{"method": "tlp"}]))
-    # a sweep runs at its one "sparsity"
-    if kind == "sweep" or "sparsities" not in raw:
-        skey, sparsities = "sparsity", [raw.get("sparsity", 1)]
-    else:
-        skey, sparsities = "sparsities", raw["sparsities"]
-    plan = _as_written(
-        {"sparsities": skey}, bench_mod.ExperimentPlan,
-        family=raw["family"], M=raw["M"], N=raw["N"],
-        param=raw.get("param", 0.0), sparsities=sparsities,
-        trials=trials, solvers=solvers, threshold=threshold,
-        master_seed=seed, timing=raw.get("timing", True))
+    opts = {k: raw[k] for k in names if k in raw}
+    flags = {"trials": trials, "master_seed": seed, "threshold": threshold}
+    opts.update((k, v) for k, v in flags.items() if v is not None)
+    if "solvers" in opts:
+        opts["solvers"] = tuple(_parse_spec(d) for d in opts["solvers"])
+    # a sweep runs at its one "sparsity", which may also stand in for a
+    # one-point "sparsities"
+    skey = "sparsities"
+    if kind == "sweep" or ("sparsity" in raw and "sparsities" not in raw):
+        skey, opts["sparsities"] = "sparsity", [raw["sparsity"]]
+    for f in plan_fields:
+        if f.default is MISSING and f.name not in opts:
+            raise ValueError(f"plan requires {f.name!r}")
+    plan = _as_written({"sparsities": skey}, bench_mod.ExperimentPlan,
+                       **opts)
     return kind, plan, raw
 
 
@@ -240,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="recover a signal from a matrix file")
     ps.add_argument("--matrix", required=True)
-    ps.add_argument("--truth", help="ground-truth vector file; y = A x")
-    ps.add_argument("--measurements", help="measurement vector file")
+    vec = ps.add_mutually_exclusive_group()
+    vec.add_argument("--truth", help="ground-truth vector file; y = A x")
+    vec.add_argument("--measurements", help="measurement vector file")
     ps.add_argument("--config", help="JSON file with solver options")
     ps.add_argument("--out", help="write result JSON here (default stdout)")
     for key, f in _SOLVE_KEYS.items():

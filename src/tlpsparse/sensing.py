@@ -18,11 +18,10 @@ after creation.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-
-FAMILIES = ("gaussian", "dct", "external")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -48,12 +47,9 @@ def derive_seed(master: int, *parts) -> int:
 
 @dataclass(frozen=True)
 class SensingMatrix:
-    """Dense measurement matrix plus the recipe that generated it."""
+    """Dense measurement matrix with finite entries, read-only."""
 
     entries: np.ndarray
-    family: str = "external"
-    param: float | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=float)
@@ -61,8 +57,6 @@ class SensingMatrix:
             raise ValueError("entries must be a nonempty 2-D array")
         if not np.all(np.isfinite(entries)):
             raise ValueError("entries must be finite")
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -109,7 +103,7 @@ def gen_gaussian(M: int, N: int, r: float, seed: int,
     z = rng.standard_normal((M, N))
     g = rng.standard_normal((M, 1))
     entries = np.sqrt(1.0 - r) * z + np.sqrt(r) * g
-    A = SensingMatrix(entries=entries, family="gaussian", param=r, seed=seed)
+    A = SensingMatrix(entries=entries)
     return normalize_columns(A) if normalize else A
 
 
@@ -124,7 +118,7 @@ def gen_dct(M: int, N: int, F: float, seed: int,
     w = rng.random(M)
     idx = np.arange(N)
     entries = np.cos(2.0 * np.pi * np.outer(w, idx) / F) / np.sqrt(M)
-    A = SensingMatrix(entries=entries, family="dct", param=F, seed=seed)
+    A = SensingMatrix(entries=entries)
     return normalize_columns(A) if normalize else A
 
 
@@ -164,8 +158,7 @@ def normalize_columns(A: SensingMatrix) -> SensingMatrix:
     norms = np.linalg.norm(A.entries, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("matrix has an all-zero column")
-    return SensingMatrix(entries=A.entries / norms, family=A.family,
-                         param=A.param, seed=A.seed)
+    return SensingMatrix(entries=A.entries / norms)
 
 
 def save_matrix_csv(A: SensingMatrix | np.ndarray, path: str) -> None:
@@ -192,41 +185,65 @@ def load_matrix_csv(path: str) -> SensingMatrix:
     value is a decimal float with optional sign, fraction and exponent
     (``-1.5e-3``, ``.5``, ``7``), spaces or tabs around it allowed; ``inf``
     and ``nan`` parse but are rejected as non-finite.  Underscores
-    (``1_0``), hex and ``#`` comments are errors.  Blank lines are
-    skipped and CRLF endings accepted.  Any malformed file raises
-    ValueError naming the path, and a bad row also its 1-based line
+    (``1_0``, also in the header), hex and ``#`` comments are errors.
+    Blank lines are skipped and CRLF endings accepted.  Any malformed file
+    raises ValueError naming the path, and a bad row also its 1-based line
     (counting the header and blank lines).
     """
     # a non-ASCII byte becomes U+FFFD, so it fails to parse on its line
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline().strip()
         try:
+            if "_" in header:  # int() takes "2_0", as float() takes "1_0"
+                raise ValueError(header)
             M, N = (int(tok) for tok in header.split(","))
         except ValueError as exc:
             raise ValueError(f"bad matrix header {header!r} in {path}") from exc
-        try:
-            entries = np.loadtxt((ln for ln in fh if not ln.isspace()),
-                                 delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(_bad_line(path, N) or f"{path}: {exc}") from exc
-    if entries.size and entries.shape[1] != N:
-        raise ValueError(_bad_line(path, N))
+        entries = _parse_rows((ln for ln in fh if not ln.isspace()),
+                              path, N, first_line=2)
     if len(entries) != M:
         raise ValueError(f"{path}: expected {M} rows, got {len(entries)}")
     try:
-        return SensingMatrix(entries=entries, family="external")
+        return SensingMatrix(entries=entries)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _bad_line(path: str, N: int) -> str | None:
-    """Name the first row of a matrix file that does not parse as N values.
+def load_vector(path: str) -> np.ndarray:
+    """Parse a vector file: one value per line, each value and each bad
+    line as in :func:`load_matrix_csv`."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        lines = [ln for ln in fh if not ln.isspace()]
+    if not lines:
+        raise ValueError(f"no values found in {path}")
+    values = _parse_rows(lines, path, 1, first_line=1)[:, 0]
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: values must be finite")
+    return values
+
+
+def _parse_rows(lines, path: str, n: int, first_line: int) -> np.ndarray:
+    """Rows of n comma-separated values; ``lines`` are the nonblank lines
+    of ``path`` from its 1-based line ``first_line`` on."""
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(_bad_line(path, n, first_line)
+                         or f"{path}: {exc}") from exc
+    if rows.size and rows.shape[1] != n:
+        raise ValueError(_bad_line(path, n, first_line))
+    return rows
+
+
+def _bad_line(path: str, N: int, first_line: int) -> str | None:
+    """Name the first row, from line ``first_line`` on, of a file that
+    does not parse as N values.
 
     Only runs once a read has failed, so it may scan in Python.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
+        lines = itertools.islice(fh, first_line - 1, None)
+        for lineno, line in enumerate(lines, start=first_line):
             line = line.strip()
             if not line:
                 continue

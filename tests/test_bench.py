@@ -66,6 +66,27 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             SolverSpec(method="omp")
 
+    def test_defaults_are_the_plan_file_defaults(self):
+        plan = ExperimentPlan(family="gaussian", M=16, N=32, sparsities=(1,))
+        assert (plan.param, plan.trials, plan.threshold, plan.master_seed,
+                plan.timing) == (0.0, 20, 1e-3, 0, True)
+        assert plan.solvers == (SolverSpec(method="tlp"),)
+        with pytest.raises(TypeError):
+            ExperimentPlan("gaussian", 16, 32, sparsities=(1,))
+
+    def test_rejects_scalar_grid(self):
+        with pytest.raises(ValueError,
+                           match="a_grid must be a list of numbers"):
+            parameter_sweep(1.0, [0.7], 1, tiny_plan())
+
+    def test_bad_grid_point_fails_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "run_trial",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError):
+            parameter_sweep([1.0, -1.0], [0.7], 1, tiny_plan())
+        assert calls == []
+
 
 class TestRunExperiment:
     def test_easy_cell_succeeds(self):
@@ -92,12 +113,6 @@ class TestRunExperiment:
         c2 = to_csv(run_experiment(plan))
         assert c1 == c2
         assert c1.splitlines()[0] == CSV_HEADER
-
-    def test_schedule_independence(self):
-        plan = tiny_plan(trials=4)
-        serial = to_csv(run_experiment(plan, workers=1))
-        parallel = to_csv(run_experiment(plan, workers=4))
-        assert serial == parallel
 
     def test_row_order(self):
         plan = tiny_plan(solvers=(SolverSpec(method="tlp", a=1.0, p=0.7),
@@ -156,6 +171,17 @@ class TestSweep:
         rows = parameter_sweep([1.0], [0.7], 2, plan)
         cell = run_experiment(plan).cells[0]
         assert rows == [(1.0, 0.7, 2, cell.success_rate)]
+
+        # a 2 x 2 grid: each row is the cell of the same spec, a-major
+        plan = tiny_plan(sparsities=(6,), trials=4)
+        points = [(0.1, 0.3), (0.1, 1.0), (3.0, 0.3), (3.0, 1.0)]
+        specs = tuple(SolverSpec(method="tlp", a=a, p=p) for a, p in points)
+        cells = run_experiment(tiny_plan(sparsities=(6,), trials=4,
+                                         solvers=specs)).cells
+        rows = parameter_sweep([0.1, 3.0], [0.3, 1.0], 6, plan)
+        assert rows == [(a, p, 6, c.success_rate)
+                        for (a, p), c in zip(points, cells)]
+        assert len({r[3] for r in rows}) > 1  # the grid points differ
 
     def test_deterministic(self):
         plan = tiny_plan(trials=2)

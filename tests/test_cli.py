@@ -95,6 +95,37 @@ class TestSolve:
                      "--measurements", str(y)])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--truth", "--measurements"])
+    @pytest.mark.parametrize("text, says", [
+        (b"1\nx\n0\n0\n", ":2: bad value 'x'"),
+        (b"1\n\n1_0\n0\n0\n", ":3: bad value '1_0'"),
+        (b"1\n0\xe9\n0\n0\n", ":2: bad value '0\ufffd'"),
+        (b"1,0\n0\n0\n", ":1: expected 1 values, got 2"),
+        (b"\n \n", "no values found in "),
+        (b"1\nnan\n0\n0\n", ": values must be finite")],
+        ids=["bad-value", "underscore", "non-ascii", "two-columns", "empty",
+             "nan"])
+    def test_bad_vector_file_names_path_and_line(
+            self, tmp_path, identity_matrix, capsys, flag, text, says):
+        vec = tmp_path / "v.txt"
+        vec.write_bytes(text)
+        code = main(["solve", "--matrix", str(identity_matrix), flag,
+                     str(vec), "--s", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(vec) in err and says in err
+
+    def test_truth_and_measurements_exclusive(self, tmp_path,
+                                              identity_matrix, capsys):
+        t = tmp_path / "x0.txt"
+        write_vector(t, [0.0, 2.0, 0.0, 0.0])
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--matrix", str(identity_matrix), "--truth",
+                  str(t), "--measurements", str(tmp_path / "nope.txt"),
+                  "--s", "1"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
     def test_config_file_equals_flags(self, tmp_path, identity_matrix):
         y = tmp_path / "y.txt"
         write_vector(y, [3.0, 0.0, 0.0, 0.0])
@@ -239,6 +270,38 @@ class TestBench:
         assert main(["bench", "--plan", str(plan)]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "a,p,sparsity,success_rate"
+
+    def test_omitted_keys_take_the_plan_defaults(self, tmp_path):
+        from tlpsparse.bench import ExperimentPlan
+        from tlpsparse.cli import parse_plan_file
+        d = {"family": "gaussian", "M": 16, "N": 32, "sparsities": [1]}
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(d))
+        assert parse_plan_file(str(plan))[1] == ExperimentPlan(
+            family="gaussian", M=16, N=32, sparsities=(1,))
+        assert parse_plan_file(str(plan), trials=3, seed=4,
+                               threshold=0.5)[1] == ExperimentPlan(
+            family="gaussian", M=16, N=32, sparsities=(1,), trials=3,
+            master_seed=4, threshold=0.5)
+
+    @pytest.mark.parametrize("drop, named", [
+        ("sparsities", "plan requires 'sparsities'"),
+        ("family", "plan requires 'family'")])
+    def test_missing_plan_key_exit_2(self, tmp_path, capsys, drop, named):
+        d = self.plan_dict()
+        d.pop(drop)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(d))
+        assert main(["bench", "--plan", str(plan)]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_scalar_sweep_grid_exit_2(self, tmp_path, capsys):
+        d = {**self.plan_dict(), "kind": "sweep", "a_grid": 1.0,
+             "p_grid": [0.7], "sparsity": 1}
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(d))
+        assert main(["bench", "--plan", str(plan)]) == 2
+        assert "a_grid must be a list of numbers" in capsys.readouterr().err
 
     def test_shipped_plans_parse(self):
         from pathlib import Path

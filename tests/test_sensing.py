@@ -175,6 +175,14 @@ class TestMatrixCsv:
                 f"bad matrix header '2;3' in {path}")):
             load_matrix_csv(str(path))
 
+    def test_header_underscores_rejected_like_values(self, tmp_path):
+        # int() would read "2_0" as 20 and fail later on the row count
+        path = tmp_path / "a.csv"
+        path.write_text("2_0,3\n1,2,3\n1,2,3\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad matrix header '2_0,3' in {path}")):
+            load_matrix_csv(str(path))
+
     def test_blank_lines_crlf_and_spaces_load(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_bytes(b"2,3\r\n\r\n 1 ,\t-2.5e-1, +3 \r\n  \r\n.5,7,-0\r\n\n")
