@@ -52,11 +52,16 @@ class SolverSpec(Schedule):
         super().__post_init__()
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        for name in ("a", "p", "q"):
+            _check_number(name, getattr(self, name), integral=False)
         if self.method == "lq":
             if not 0 < self.q <= 1:
                 raise ValueError("q must lie in (0, 1]")
         else:
             PenaltyParams(self.a, self.p)
+        if not isinstance(self.label, (str, type(None))):
+            raise ValueError(f"label must be a string or null, "
+                             f"got {self.label!r}")
         if self.label and "," in self.label:
             raise ValueError("solver label must not contain commas")
 

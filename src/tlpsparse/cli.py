@@ -11,8 +11,8 @@ File formats
 * solve results: JSON with the recovered vector and all traces;
 * bench plans: JSON (see README for the schema); the keys are the
   fields of :class:`~tlpsparse.bench.ExperimentPlan`, with its defaults,
-  plus ``kind`` and the sweep keys; unknown keys are rejected so typos
-  fail loudly.
+  plus ``kind`` and, in sweep plans only, the sweep keys; unknown keys are
+  rejected so typos fail loudly.
 
 Exit codes: 0 solver/tool completed (regardless of convergence status),
 2 usage or input error, 3 dimension mismatch.  Bench runs its trials
@@ -43,7 +43,7 @@ class DimensionError(ValueError):
     """Input shapes disagree; maps to exit code 3."""
 
 
-# plan-file keys beyond the ExperimentPlan fields
+# keys of sweep plans only, beyond the ExperimentPlan fields
 _SWEEP_KEYS = ("a_grid", "p_grid", "sparsity")
 
 # files and flags spell the field lam as "lambda"
@@ -86,18 +86,16 @@ def _solve_spec(args) -> tuple[bench_mod.SolverSpec, int]:
     opts: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_opts = json.load(fh)
-        if not isinstance(file_opts, dict):
+            opts = json.load(fh)
+        if not isinstance(opts, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-        _reject_unknown(file_opts, _SOLVE_KEYS, "config")
-        opts.update({_SOLVE_KEYS[k].name: v for k, v in file_opts.items()})
-    for f in _SOLVE_KEYS.values():
+    for key, f in _SOLVE_KEYS.items():
         if getattr(args, f.name) is not None:
-            opts[f.name] = getattr(args, f.name)
+            opts[key] = getattr(args, f.name)
     if "s" not in opts:
         raise ValueError("target sparsity --s is required")
     s = opts.pop("s")
-    return _as_written(_SPELLING, bench_mod.SolverSpec, **opts), s
+    return _parse_spec(opts, _SOLVE_KEYS, "config"), s
 
 
 def cmd_solve(args) -> int:
@@ -137,10 +135,12 @@ def cmd_solve(args) -> int:
 
 # ---------------------------------------------------------------- bench
 
-def _parse_spec(d: dict) -> bench_mod.SolverSpec:
-    _reject_unknown(d, _SPEC_KEYS, "solver spec")
+def _parse_spec(d: dict, keys=_SPEC_KEYS, what="solver spec"
+                ) -> bench_mod.SolverSpec:
+    """A SolverSpec from options keyed as written, among ``keys``."""
+    _reject_unknown(d, keys, what)
     return _as_written(_SPELLING, bench_mod.SolverSpec,
-                       **{_SPEC_KEYS[k].name: v for k, v in d.items()})
+                       **{keys[k].name: v for k, v in d.items()})
 
 
 def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
@@ -148,7 +148,8 @@ def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
 
     The optional arguments override the corresponding plan fields (the
     flag-beats-file rule).  Keys the file omits take the
-    ``ExperimentPlan`` defaults.
+    ``ExperimentPlan`` defaults.  The sweep keys belong to sweep plans
+    only; a sweep runs at its one ``sparsity``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -156,30 +157,31 @@ def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
         raise ValueError(f"{path}: plan must be a JSON object")
     plan_fields = fields(bench_mod.ExperimentPlan)
     names = [f.name for f in plan_fields]
-    _reject_unknown(raw, names + ["kind", *_SWEEP_KEYS], "plan")
     kind = raw.get("kind", "success_rate")
     if kind not in ("success_rate", "sweep"):
         raise ValueError(f"unknown plan kind {kind!r}")
-    if kind == "sweep":
-        for key in _SWEEP_KEYS:
-            if key not in raw:
-                raise ValueError(f"sweep plan requires {key!r}")
+    sweep_keys = _SWEEP_KEYS if kind == "sweep" else ()
+    _reject_unknown(raw, names + ["kind", *sweep_keys], "plan")
+    for key in sweep_keys:
+        if key not in raw:
+            raise ValueError(f"sweep plan requires {key!r}")
 
     opts = {k: raw[k] for k in names if k in raw}
     flags = {"trials": trials, "master_seed": seed, "threshold": threshold}
     opts.update((k, v) for k, v in flags.items() if v is not None)
     if "solvers" in opts:
-        opts["solvers"] = tuple(_parse_spec(d) for d in opts["solvers"])
-    # a sweep runs at its one "sparsity", which may also stand in for a
-    # one-point "sparsities"
-    skey = "sparsities"
-    if kind == "sweep" or ("sparsity" in raw and "sparsities" not in raw):
-        skey, opts["sparsities"] = "sparsity", [raw["sparsity"]]
+        specs = opts["solvers"]
+        if not (isinstance(specs, list)
+                and all(isinstance(d, dict) for d in specs)):
+            raise ValueError("solvers must be a list of objects")
+        opts["solvers"] = tuple(_parse_spec(d) for d in specs)
+    if kind == "sweep":
+        opts["sparsities"] = [raw["sparsity"]]
     for f in plan_fields:
         if f.default is MISSING and f.name not in opts:
             raise ValueError(f"plan requires {f.name!r}")
-    plan = _as_written({"sparsities": skey}, bench_mod.ExperimentPlan,
-                       **opts)
+    spelling = {"sparsities": "sparsity"} if kind == "sweep" else {}
+    plan = _as_written(spelling, bench_mod.ExperimentPlan, **opts)
     return kind, plan, raw
 
 

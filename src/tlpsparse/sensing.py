@@ -11,8 +11,9 @@ Two families are generated:
   mutual coherence).
 
 All randomness flows through PCG64 seeded explicitly, so regenerating with
-the same arguments is bit-for-bit reproducible.  Matrices are immutable
-after creation.
+the same arguments is bit-for-bit reproducible.  Both families keep
+their natural column scale, and signals have standard normal nonzeros, as
+in the paper's experiments.  Matrices are immutable after creation.
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ class SensingMatrix:
         return self.entries.shape
 
 
+def _as_array(A: SensingMatrix | np.ndarray) -> np.ndarray:
+    """The entries of a SensingMatrix, or any array-like as floats."""
+    return A.entries if isinstance(A, SensingMatrix) else np.asarray(A, float)
+
+
 @dataclass(frozen=True)
 class SparseSignal:
     """Ground-truth vector that is exactly zero off its support."""
@@ -88,13 +94,9 @@ class SparseSignal:
         return int(self.support.size)
 
 
-def gen_gaussian(M: int, N: int, r: float, seed: int,
-                 normalize: bool = False) -> SensingMatrix:
-    """Rows i.i.d. from N(0, (1-r) I + r J); r = 0 is the classic i.i.d. case.
-
-    Columns keep their natural scale unless ``normalize`` asks for unit l2
-    columns.
-    """
+def gen_gaussian(M: int, N: int, r: float, seed: int) -> SensingMatrix:
+    """Rows i.i.d. from N(0, (1-r) I + r J); r = 0 is the classic i.i.d.
+    case."""
     if not (0.0 <= r < 1.0):
         raise ValueError("correlation r must lie in [0, 1)")
     if M < 1 or N < 1:
@@ -102,13 +104,10 @@ def gen_gaussian(M: int, N: int, r: float, seed: int,
     rng = _rng(seed)
     z = rng.standard_normal((M, N))
     g = rng.standard_normal((M, 1))
-    entries = np.sqrt(1.0 - r) * z + np.sqrt(r) * g
-    A = SensingMatrix(entries=entries)
-    return normalize_columns(A) if normalize else A
+    return SensingMatrix(entries=np.sqrt(1.0 - r) * z + np.sqrt(r) * g)
 
 
-def gen_dct(M: int, N: int, F: float, seed: int,
-            normalize: bool = False) -> SensingMatrix:
+def gen_dct(M: int, N: int, F: float, seed: int) -> SensingMatrix:
     """Over-sampled DCT columns sharing one random frequency vector."""
     if F <= 0:
         raise ValueError("frequency parameter F must be positive")
@@ -118,13 +117,12 @@ def gen_dct(M: int, N: int, F: float, seed: int,
     w = rng.random(M)
     idx = np.arange(N)
     entries = np.cos(2.0 * np.pi * np.outer(w, idx) / F) / np.sqrt(M)
-    A = SensingMatrix(entries=entries)
-    return normalize_columns(A) if normalize else A
+    return SensingMatrix(entries=entries)
 
 
 def coherence(A: SensingMatrix | np.ndarray) -> float:
     """Largest |cos angle| between two distinct columns, in [0, 1]."""
-    entries = A.entries if isinstance(A, SensingMatrix) else np.asarray(A, float)
+    entries = _as_array(A)
     norms = np.linalg.norm(entries, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("matrix has an all-zero column")
@@ -133,32 +131,16 @@ def coherence(A: SensingMatrix | np.ndarray) -> float:
     return float(min(G.max(), 1.0))
 
 
-def gen_signal(N: int, s: int, seed: int, values: str = "gaussian") -> SparseSignal:
-    """Uniformly random support of size s with i.i.d. nonzero values.
-
-    ``values`` selects the nonzero law: standard normal (default) or
-    Rademacher +-1.
-    """
+def gen_signal(N: int, s: int, seed: int) -> SparseSignal:
+    """Uniformly random support of size s with i.i.d. standard normal
+    nonzeros."""
     if not (1 <= s <= N):
         raise ValueError("sparsity s must satisfy 1 <= s <= N")
-    if values not in ("gaussian", "rademacher"):
-        raise ValueError("values must be 'gaussian' or 'rademacher'")
     rng = _rng(seed)
     support = rng.choice(N, size=s, replace=False)
     vec = np.zeros(N)
-    if values == "gaussian":
-        vec[support] = rng.standard_normal(s)
-    else:
-        vec[support] = rng.choice([-1.0, 1.0], size=s)
+    vec[support] = rng.standard_normal(s)
     return SparseSignal(vector=vec, support=np.sort(support))
-
-
-def normalize_columns(A: SensingMatrix) -> SensingMatrix:
-    """Copy of A with unit l2 columns (neither family is normalized by default)."""
-    norms = np.linalg.norm(A.entries, axis=0)
-    if np.any(norms == 0.0):
-        raise ValueError("matrix has an all-zero column")
-    return SensingMatrix(entries=A.entries / norms)
 
 
 def save_matrix_csv(A: SensingMatrix | np.ndarray, path: str) -> None:
@@ -168,7 +150,7 @@ def save_matrix_csv(A: SensingMatrix | np.ndarray, path: str) -> None:
     ``f"{v:.17g}"``), enough for exact float64 round-trips.  One row is
     formatted at a time, so memory stays at one row of text.
     """
-    entries = A.entries if isinstance(A, SensingMatrix) else np.asarray(A, float)
+    entries = _as_array(A)
     M, N = entries.shape
     row_fmt = ",".join(["%.17g"] * N) + "\n"
     with open(path, "w", encoding="ascii") as fh:
@@ -224,13 +206,19 @@ def load_vector(path: str) -> np.ndarray:
 
 def _parse_rows(lines, path: str, n: int, first_line: int) -> np.ndarray:
     """Rows of n comma-separated values; ``lines`` are the nonblank lines
-    of ``path`` from its 1-based line ``first_line`` on."""
+    of ``path`` from its 1-based line ``first_line`` on.  No lines give
+    no rows."""
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is None:  # np.loadtxt would warn that it found no data
+        return np.empty((0, n))
     try:
-        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        rows = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
+                          comments=None, ndmin=2)
     except ValueError as exc:
         raise ValueError(_bad_line(path, n, first_line)
                          or f"{path}: {exc}") from exc
-    if rows.size and rows.shape[1] != n:
+    if rows.shape[1] != n:
         raise ValueError(_bad_line(path, n, first_line))
     return rows
 

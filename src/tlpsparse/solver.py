@@ -35,7 +35,7 @@ from scipy.linalg.blas import dsyrk
 from scipy.optimize import minimize
 
 from .penalty import PenaltyParams, penalty_tlp, penalty_lp
-from .sensing import SensingMatrix
+from .sensing import _as_array
 
 
 def _check_number(name: str, value, integral: bool) -> None:
@@ -95,22 +95,6 @@ class SolverConfig(Schedule):
         super().__post_init__()
 
 
-@dataclass(frozen=True)
-class WeightState:
-    """Weights and smoothing level at one outer iterate."""
-
-    w: np.ndarray
-    omega: np.ndarray
-    eps: float
-
-    @classmethod
-    def from_iterate(cls, params: PenaltyParams, x: np.ndarray, eps: float,
-                     kappa: float) -> "WeightState":
-        w = _weights(x, eps, kappa, params.p)
-        omega = w * (params.a + np.abs(x) ** params.p) ** (2.0 / params.p - 1.0)
-        return cls(w=w, omega=omega, eps=eps)
-
-
 def _weights(x: np.ndarray, eps: float, kappa: float,
              exponent: float) -> np.ndarray:
     """IRLS weights (x_i^2 + eps^kappa)^((exponent-2)/2)."""
@@ -159,10 +143,6 @@ class DcaResult:
     f_trace: np.ndarray
     iters: int
     converged: bool
-
-
-def _as_array(A) -> np.ndarray:
-    return A.entries if isinstance(A, SensingMatrix) else np.asarray(A, float)
 
 
 def tail_magnitude(x, s: int) -> float:
@@ -285,9 +265,9 @@ class _SpdSolver:
 
 
 def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
-                   cfg: SolverConfig,
-                   x_init: np.ndarray | None = None) -> DcaResult:
-    """Difference-of-convex iteration for the weighted subproblem.
+                   cfg: SolverConfig) -> DcaResult:
+    """Difference-of-convex iteration for the weighted subproblem, started
+    at x = 0.
 
     Each step linearizes the concave part at the current iterate and
     solves one SPD system
@@ -310,11 +290,7 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
     lam, c = cfg.lam, cfg.c
     coef = 2.0 * lam * (a + 1.0) / a
     solver = _SpdSolver(A, 2.0 * c + coef * w, y=y)
-    if x_init is None:
-        x, res = np.zeros(A.shape[1]), y
-    else:
-        x = np.array(x_init, dtype=float)
-        res = y - A @ x
+    x, res = np.zeros(A.shape[1]), y
     trace = [_f_w_res(params, lam, w, x, res)]
     iters = 0
     converged = False
@@ -537,7 +513,9 @@ def irls_constrained(A, y, params: PenaltyParams, cfg: SolverConfig,
         frozen = _constrained_ls(A, y, (a + np.abs(x) ** p) / ((a + 1.0) * w))
         if not exact_update:
             return frozen
-        omega = WeightState.from_iterate(params, x, eps, cfg.kappa).omega
+        # the minimizing weights of the surrogate at x; w is the driver's
+        # (x^2 + eps^kappa)^((p-2)/2)
+        omega = w * (a + np.abs(x) ** p) ** (2.0 / p - 1.0)
         # the zero start is not a candidate on the first step
         cands = [frozen] if len(j_trace) == 1 else [frozen, x]
         return _feasible_minimizer(A, y, params, omega, eps, cfg.kappa, cands)

@@ -199,6 +199,29 @@ class TestSolve:
         assert main(args) == 2
         assert "lambda must be positive" in capsys.readouterr().err
 
+    def test_config_lambda_with_flag_override(self, tmp_path,
+                                              identity_matrix):
+        # file and flags both spell lam as "lambda"; a flag beats the file
+        y = tmp_path / "y.txt"
+        write_vector(y, [3.0, 0.0, 0.0, 0.0])
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"s": 1, "lambda": 1e-3,
+                                       "kappa": 2.0}))
+        out1, out2 = tmp_path / "o1.json", tmp_path / "o2.json"
+        assert main(["solve", "--matrix", str(identity_matrix),
+                     "--measurements", str(y), "--config", str(cfgfile),
+                     "--lambda", "1e-5", "--kappa", "2.5",
+                     "--out", str(out1)]) == 0
+        assert main(["solve", "--matrix", str(identity_matrix),
+                     "--measurements", str(y), "--s", "1",
+                     "--lambda", "1e-5", "--kappa", "2.5",
+                     "--out", str(out2)]) == 0
+        p1 = json.loads(out1.read_text())
+        p2 = json.loads(out2.read_text())
+        p1.pop("wall_time_ms")
+        p2.pop("wall_time_ms")
+        assert p1 == p2
+
     def test_every_knob_has_a_flag_and_a_plan_key(self, tmp_path):
         from dataclasses import fields
         from tlpsparse.cli import build_parser, parse_plan_file
@@ -303,6 +326,35 @@ class TestBench:
         assert main(["bench", "--plan", str(plan)]) == 2
         assert "a_grid must be a list of numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solvers", [{"method": "tlp"}, [["tlp"]],
+                                         [{"method": "tlp"}, "lq"]])
+    def test_solvers_must_be_a_list_of_objects(self, tmp_path, capsys,
+                                               solvers):
+        d = {**self.plan_dict(), "solvers": solvers}
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(d))
+        assert main(["bench", "--plan", str(plan)]) == 2
+        assert ("solvers must be a list of objects"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"a_grid": [1.0]}, "a_grid"),
+        ({"p_grid": [0.7]}, "p_grid"),
+        ({"sparsity": 1}, "sparsity"),
+        ({"sparsity": 1, "sparsities": None}, "sparsity"),  # no alias
+        ({"a_grid": [1.0], "p_grid": [0.7], "sparsity": 1},
+         "a_grid, p_grid, sparsity")])
+    def test_sweep_keys_only_in_sweep_plans(self, tmp_path, capsys, extra,
+                                            named):
+        # a None value drops the key from the plan
+        d = {k: v for k, v in {**self.plan_dict(), **extra}.items()
+             if v is not None}
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(d))
+        assert main(["bench", "--plan", str(plan)]) == 2
+        assert (f"unknown plan key(s): {named}\n"
+                in capsys.readouterr().err)
+
     def test_shipped_plans_parse(self):
         from pathlib import Path
         from tlpsparse.cli import parse_plan_file
@@ -319,7 +371,12 @@ class TestBench:
         ({"outer_max": 0}, "outer_max must be positive"),
         ({"method": "lq", "q": 2.0}, "q must lie in"),
         ({"inner_max": 20.0}, "inner_max must be an integer"),
-        ({"c": float("nan")}, "c must be positive")])
+        ({"c": float("nan")}, "c must be positive"),
+        ({"a": True}, "a must be a number, got True"),
+        ({"q": True}, "q must be a number, got True"),
+        ({"method": "lq", "q": True}, "q must be a number, got True"),
+        ({"p": "0.7"}, "p must be a number, got '0.7'"),
+        ({"label": 5}, "label must be a string or null, got 5")])
     def test_invalid_spec_exit_2(self, tmp_path, capsys, bad, named):
         d = self.plan_dict()
         d["solvers"] = [{"method": "tlp", **bad}]

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from tlpsparse.penalty import PenaltyParams, penalty_tlp
 from tlpsparse.sensing import gen_gaussian, gen_signal
-from tlpsparse.solver import (SolverConfig, WeightState, _constrained_ls,
+from tlpsparse.solver import (SolverConfig, _constrained_ls,
                               _reweight, _scaled_gram, _SpdSolver,
                               dca_subproblem, f_w_value,
                               grad_f_w, grad_phi_w, irls_constrained,
@@ -208,12 +208,11 @@ class TestSpdRoutes:
         for _ in range(5):
             A, d, y, _ = _dca_like_system(rng, 32, 128, 5)
             w = d / d.max() * 1e6
-            for x_init in (None, rng.standard_normal(128)):
-                res = dca_subproblem(A, y, params, w, cfg, x_init=x_init)
-                want = f_w_value(A, y, params, cfg.lam, w, res.x)
-                assert res.f_trace[-1] == pytest.approx(want, rel=1e-12)
-                assert np.allclose(res.residual, y - A @ res.x,
-                                   rtol=0, atol=1e-12 * np.linalg.norm(y))
+            res = dca_subproblem(A, y, params, w, cfg)
+            want = f_w_value(A, y, params, cfg.lam, w, res.x)
+            assert res.f_trace[-1] == pytest.approx(want, rel=1e-12)
+            assert np.allclose(res.residual, y - A @ res.x,
+                               rtol=0, atol=1e-12 * np.linalg.norm(y))
 
     def test_singular_system_gets_ridge_and_warns(self):
         # a zero row makes A D A^T exactly singular, so the Cholesky
@@ -349,18 +348,6 @@ class TestIrlsTlp:
         assert rel < 1e-3
 
 
-class TestWeightState:
-    def test_weight_identity(self):
-        # w = omega * (a + |x|^p)^(1 - 2/p) must equal (x^2 + eps^kappa)^((p-2)/2)
-        rng = np.random.default_rng(71)
-        params = PenaltyParams(2.0, 0.6)
-        x = rng.standard_normal(12)
-        state = WeightState.from_iterate(params, x, eps=0.3, kappa=3.0)
-        back = state.omega * (params.a + np.abs(x) ** params.p) ** (
-            1.0 - 2.0 / params.p)
-        assert np.allclose(back, state.w, rtol=1e-12)
-
-
 class TestIrlsConstrained:
     def test_identity_matrix_returns_y(self):
         y = np.array([0.5, -1.5, 2.0, 0.0])
@@ -378,8 +365,11 @@ class TestIrlsConstrained:
             x = rng.standard_normal(10) * rng.uniform(0.1, 3.0)
             eps = rng.uniform(1e-3, 1.0)
             kappa = rng.uniform(1.0, 4.0)
-            state = WeightState.from_iterate(params, x, eps, kappa)
-            full = j_functional(params, x, state.omega, eps, kappa)
+            # omega_i = (a + |x_i|^p)^(2/p - 1) (x_i^2 + eps^kappa)^((p-2)/2)
+            omega = (params.a + np.abs(x) ** params.p) ** (
+                2.0 / params.p - 1.0) * (x * x + eps ** kappa) ** (
+                (params.p - 2.0) / 2.0)
+            full = j_functional(params, x, omega, eps, kappa)
             closed = j_closed_form(params, x, eps, kappa)
             assert full == pytest.approx(closed, rel=1e-10)
 
