@@ -11,8 +11,9 @@ File formats
 * solve results: JSON with the recovered vector and all traces;
 * bench plans: JSON (see README for the schema); the keys are the
   fields of :class:`~tlpsparse.bench.ExperimentPlan`, with its defaults,
-  plus ``kind`` and, in sweep plans only, the sweep keys; unknown keys are
-  rejected so typos fail loudly.
+  plus ``kind`` and, in sweep plans only, the sweep keys, whose one
+  ``sparsity`` stands in for ``sparsities``; unknown keys are rejected so
+  typos fail loudly.
 
 Exit codes: 0 solver/tool completed (regardless of convergence status),
 2 usage or input error, 3 dimension mismatch.  Bench runs its trials
@@ -149,7 +150,8 @@ def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
     The optional arguments override the corresponding plan fields (the
     flag-beats-file rule).  Keys the file omits take the
     ``ExperimentPlan`` defaults.  The sweep keys belong to sweep plans
-    only; a sweep runs at its one ``sparsity``.
+    only; a sweep runs at its one ``sparsity`` and takes no
+    ``sparsities``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -161,7 +163,8 @@ def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
     if kind not in ("success_rate", "sweep"):
         raise ValueError(f"unknown plan kind {kind!r}")
     sweep_keys = _SWEEP_KEYS if kind == "sweep" else ()
-    _reject_unknown(raw, names + ["kind", *sweep_keys], "plan")
+    plan_keys = [n for n in names if not (sweep_keys and n == "sparsities")]
+    _reject_unknown(raw, plan_keys + ["kind", *sweep_keys], "plan")
     for key in sweep_keys:
         if key not in raw:
             raise ValueError(f"sweep plan requires {key!r}")

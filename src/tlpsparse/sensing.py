@@ -20,12 +20,16 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -109,8 +113,9 @@ def gen_gaussian(M: int, N: int, r: float, seed: int) -> SensingMatrix:
 
 def gen_dct(M: int, N: int, F: float, seed: int) -> SensingMatrix:
     """Over-sampled DCT columns sharing one random frequency vector."""
-    if F <= 0:
-        raise ValueError("frequency parameter F must be positive")
+    if not (F > 0 and math.isfinite(F)):
+        raise ValueError(f"frequency parameter F must be positive and "
+                         f"finite, got {F!r}")
     if M < 1 or N < 1:
         raise ValueError("M and N must be positive")
     rng = _rng(seed)

@@ -1,9 +1,13 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tlpsparse
 from tlpsparse.cli import main
 from tlpsparse.sensing import load_matrix_csv, save_matrix_csv
 
@@ -321,10 +325,21 @@ class TestBench:
     def test_scalar_sweep_grid_exit_2(self, tmp_path, capsys):
         d = {**self.plan_dict(), "kind": "sweep", "a_grid": 1.0,
              "p_grid": [0.7], "sparsity": 1}
+        d.pop("sparsities")
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(d))
         assert main(["bench", "--plan", str(plan)]) == 2
         assert "a_grid must be a list of numbers" in capsys.readouterr().err
+
+    def test_sweep_plan_rejects_sparsities(self, tmp_path, capsys):
+        # a sweep runs at its one sparsity; a sparsities list is not used
+        d = {**self.plan_dict(), "kind": "sweep", "a_grid": [1.0],
+             "p_grid": [0.7], "sparsity": 2, "sparsities": [5, 9]}
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(d))
+        assert main(["bench", "--plan", str(plan)]) == 2
+        assert ("unknown plan key(s): sparsities\n"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("solvers", [{"method": "tlp"}, [["tlp"]],
                                          [{"method": "tlp"}, "lq"]])
@@ -394,20 +409,26 @@ class TestBench:
         ({"master_seed": True}, "master_seed must be an integer, got True"),
         ({"timing": "false"}, "timing must be true or false, got 'false'"),
         ({"kind": "sweep", "a_grid": [1.0], "p_grid": [0.7],
-          "sparsity": 2.9}, "sparsity must be an integer, got 2.9"),
+          "sparsity": 2.9, "sparsities": None},
+         "sparsity must be an integer, got 2.9"),
         ({"sparsities": [2, 32]}, "sparsities must be below N=32, got 32"),
         ({"kind": "sweep", "a_grid": [1.0], "p_grid": [0.7],
-          "sparsity": 40}, "sparsity must be below N=32, got 40"),
+          "sparsity": 40, "sparsities": None},
+         "sparsity must be below N=32, got 40"),
         ({"threshold": True}, "threshold must be a number, got True"),
         ({"threshold": 0}, "threshold must be positive"),
         ({"param": "0.0"}, "param must be a number, got '0.0'"),
         ({"kind": "sweep", "a_grid": [True], "p_grid": [0.7],
-          "sparsity": 1}, "a_grid must be a number, got True"),
+          "sparsity": 1, "sparsities": None},
+         "a_grid must be a number, got True"),
         ({"kind": "sweep", "a_grid": [1.0], "p_grid": ["0.7"],
-          "sparsity": 1}, "p_grid must be a number, got '0.7'")])
+          "sparsity": 1, "sparsities": None},
+         "p_grid must be a number, got '0.7'")])
     def test_bad_plan_numbers_exit_2(self, tmp_path, capsys, over, named):
-        # checked before any trial runs, naming the key as written
-        d = {**self.plan_dict(), **over}
+        # checked before any trial runs, naming the key as written; a None
+        # value drops the key from the plan
+        d = {k: v for k, v in {**self.plan_dict(), **over}.items()
+             if v is not None}
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(d))
         out = tmp_path / "r.csv"
@@ -466,6 +487,21 @@ class TestGenMatrix:
                      "--N", "8", "--param", "1.5", "--seed", "1",
                      "--out", str(tmp_path / "a.csv")]) == 2
 
+    @pytest.mark.parametrize("family, param, seed, named", [
+        ("dct", "inf", "1", "F must be positive and finite, got inf"),
+        ("dct", "nan", "1", "F must be positive and finite, got nan"),
+        ("gaussian", "0.0", "-1",
+         "seed must be a non-negative integer, got -1"),
+        ("dct", "10", "-1", "seed must be a non-negative integer, got -1")])
+    def test_bad_param_or_seed_exit_2(self, tmp_path, capsys, family, param,
+                                      seed, named):
+        out = tmp_path / "a.csv"
+        assert main(["gen-matrix", "--family", family, "--M", "4", "--N", "8",
+                     "--param", param, "--seed", seed,
+                     "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dct_coherent_downstream(self, tmp_path):
         from tlpsparse.sensing import coherence
         out = tmp_path / "dct.csv"
@@ -473,3 +509,15 @@ class TestGenMatrix:
                      "--N", "1000", "--param", "20", "--seed", "3",
                      "--out", str(out)]) == 0
         assert coherence(load_matrix_csv(str(out))) >= 0.999
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only irls_constrained(exact_update=True) needs scipy.optimize, and it
+    # imports it on first use; every CLI process is spared the load
+    src = str(Path(tlpsparse.__file__).resolve().parent.parent)
+    code = ("import sys, tlpsparse, tlpsparse.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -62,6 +62,25 @@ class TestDct:
         with pytest.raises(ValueError):
             gen_dct(4, 8, 0.0, seed=0)
 
+    @pytest.mark.parametrize("F", [np.inf, np.nan, -np.inf])
+    def test_rejects_non_finite_frequency(self, F):
+        with pytest.raises(ValueError, match="F must be positive and finite"):
+            gen_dct(4, 8, F, seed=0)
+
+
+@pytest.mark.parametrize("gen", [lambda seed: gen_gaussian(4, 8, 0.0, seed),
+                                 lambda seed: gen_dct(4, 8, 10.0, seed),
+                                 lambda seed: gen_signal(8, 2, seed)],
+                         ids=["gaussian", "dct", "signal"])
+def test_generators_reject_bad_seed(gen):
+    with pytest.raises(ValueError,
+                       match="seed must be a non-negative integer, got -1"):
+        gen(-1)
+    for bad in (1.5, True, None):
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            gen(bad)
+    gen(np.int64(3))  # numpy integers are integers
+
 
 class TestCoherence:
     def test_orthonormal_columns(self):

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import cho_solve
 
 from tlpsparse.penalty import PenaltyParams, penalty_tlp
-from tlpsparse.sensing import gen_gaussian, gen_signal
-from tlpsparse.solver import (SolverConfig, _constrained_ls,
-                              _reweight, _scaled_gram, _SpdSolver,
+from tlpsparse.sensing import gen_dct, gen_gaussian, gen_signal
+from tlpsparse.solver import (SolverConfig, _constrained_ls, _f_w_res,
+                              _reweight, _scaled_gram, _SpdSolver, _weights,
                               dca_subproblem, f_w_value,
                               grad_f_w, grad_phi_w, irls_constrained,
                               irls_lq_baseline, irls_tlp, j_closed_form,
@@ -136,6 +137,57 @@ class TestDcaSubproblem:
         with pytest.raises(ValueError):
             dca_subproblem(np.eye(3), np.zeros(3), PenaltyParams(1, 0.5),
                            np.array([1.0, 0.0, 1.0]), cfg)
+
+    @pytest.mark.parametrize("family", ["gaussian", "dct"])
+    def test_bit_identical_to_unfused_loop(self, family):
+        # the fused step must reproduce, bit for bit, the loop built from
+        # the public gradient, scipy's cho_solve and the f_w formula
+        if family == "gaussian":
+            A, s = gen_gaussian(64, 256, 0.0, seed=61).entries, 10
+        else:
+            A, s = gen_dct(100, 1500, 10.0, seed=62).entries, 5
+        N = A.shape[1]
+        x0 = gen_signal(N, s, seed=63).vector
+        y = A @ x0
+        near = x0 + 1e-2 * np.random.default_rng(64).standard_normal(N)
+        cfg = SolverConfig(s=s)
+        stops = set()
+        for a in (0.1, 1.0, 5.0):
+            for p in (0.5, 0.7, 1.0):
+                params = PenaltyParams(a, p)
+                w = _weights(near, 0.1, cfg.kappa, p)
+                got = dca_subproblem(A, y, params, w, cfg)
+                x, res, trace, n, conv = unfused_dca(A, y, params, w, cfg)
+                assert np.array_equal(got.x, x), (a, p)
+                assert np.array_equal(got.residual, res), (a, p)
+                assert np.array_equal(got.f_trace, trace), (a, p)
+                assert (got.iters, got.converged) == (n, conv), (a, p)
+                stops.add(conv)
+        assert stops == {True, False}  # both stopping rules were reached
+
+
+def unfused_dca(A, y, params, w, cfg):
+    """The DCA inner loop step by step: grad_phi_w, a scipy cho_solve on
+    _SpdSolver's factor in residual form, and _f_w_res per iterate."""
+    a, lam, c = params.a, cfg.lam, cfg.c
+    coef = 2.0 * lam * (a + 1.0) / a
+    spd = _SpdSolver(A, 2.0 * c + coef * w, y=y)
+    x, res = np.zeros(A.shape[1]), y
+    trace = [_f_w_res(params, lam, w, x, res)]
+    iters, converged = 0, False
+    for _ in range(cfg.inner_max):
+        v = lam * (a + 1.0) * grad_phi_w(params, w, x) + 2.0 * c * x
+        r = cho_solve(spd._factor, y - A @ (spd._dinv * v),
+                      check_finite=False)
+        x_new = spd._dinv * (v + A.T @ r)
+        step = float(np.max(np.abs(x_new - x)))
+        x, res = x_new, r
+        iters += 1
+        trace.append(_f_w_res(params, lam, w, x, res))
+        if step < cfg.inner_tol * max(float(np.max(np.abs(x))), 1.0):
+            converged = True
+            break
+    return x, res, np.asarray(trace), iters, converged
 
 
 class TestSpdSystem:
