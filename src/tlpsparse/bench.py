@@ -107,6 +107,14 @@ class ExperimentPlan:
             _check_positive(name, getattr(self, name), integral=True)
         _check_number("master_seed", self.master_seed, integral=True)
         _check_number("param", self.param, integral=False)
+        # the generators' own ranges, checked here to name the plan key
+        if self.family == "dct" and not (self.param > 0
+                                         and math.isfinite(self.param)):
+            raise ValueError(f"param must be positive and finite for "
+                             f"family dct, got {self.param!r}")
+        if self.family == "gaussian" and not 0 <= self.param < 1:
+            raise ValueError(f"param must lie in [0, 1) for family "
+                             f"gaussian, got {self.param!r}")
         _check_positive("threshold", self.threshold, integral=False)
         if not isinstance(self.timing, bool):
             raise ValueError(f"timing must be true or false, "

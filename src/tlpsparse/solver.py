@@ -60,8 +60,19 @@ class Schedule:
 
     ``c`` is the strong-convexity constant added to both halves of the DC
     split; it must stay well below lam * (a+1)/a * w for typical weights or
-    the inner iteration contracts too slowly to be useful.  Every knob must
-    be positive and finite; ``int`` knobs take integers only.
+    the inner iteration contracts too slowly to be useful.
+
+    ``inner_tol_eps`` ties the inner tolerance to eps: ``irls_tlp`` solves
+    each outer step's subproblem to max(inner_tol, inner_tol_eps *
+    min(eps, 1)), with eps the value the step's weights were frozen at.
+    While eps is large the weights are about to move anyway, so the inner
+    solve stops early; once eps <= inner_tol / inner_tol_eps the tolerance
+    is inner_tol again (Fornasier, Peter, Rauhut and Worm, Comput. Optim.
+    Appl. 2016, analyse such inexact IRLS inner solves).  Any value
+    <= inner_tol gives the fixed tolerance inner_tol.
+
+    Every knob must be positive and finite; ``int`` knobs take integers
+    only.
     """
 
     lam: float = 1e-6
@@ -70,6 +81,7 @@ class Schedule:
     c: float = 1e-6
     eps0: float = 1.0
     inner_tol: float = 1e-8
+    inner_tol_eps: float = 1e-3
     inner_max: int = 20
     outer_tol_step: float = 1e-8
     outer_tol_mag: float = 1e-8
@@ -270,7 +282,7 @@ class _SpdSolver:
 
 
 def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
-                   cfg: SolverConfig) -> DcaResult:
+                   cfg: SolverConfig, tol: float | None = None) -> DcaResult:
     """Difference-of-convex iteration for the weighted subproblem, started
     at x = 0.
 
@@ -281,8 +293,10 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
         v = lam (a+1) grad_phi_w(x) + 2 c x.
 
     All steps share one factor of the m x m dual (``_SpdSolver``).
-    Stops when the sup-norm step falls below inner_tol relative to the
-    iterate scale, or at inner_max.  The recorded f_w values are
+    Stops when the sup-norm step falls below ``tol`` relative to the
+    iterate scale, ||x_new - x||_inf < tol max(||x_new||_inf, 1), or at
+    inner_max.  ``tol`` defaults to cfg.inner_tol; ``irls_tlp`` passes
+    the eps-tied tolerance of ``Schedule``.  The recorded f_w values are
     nonincreasing (both split halves are strongly convex with modulus
     >= 2c).
     """
@@ -291,6 +305,8 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
     w = np.asarray(w, dtype=float)
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
+    if tol is None:
+        tol = cfg.inner_tol
     a, p = params.a, params.p
     lam, c = cfg.lam, cfg.c
     coef = 2.0 * lam * (a + 1.0) / a
@@ -317,7 +333,7 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
         axp = ax ** p
         trace.append(float(lam_a1 * np.sum(w * x * x / (a + axp))
                            + 0.5 * (res @ res)))
-        if step < cfg.inner_tol * max(float(np.max(ax)), 1.0):
+        if step < tol * max(float(np.max(ax)), 1.0):
             converged = True
             break
     return DcaResult(x=x, residual=res, f_trace=np.asarray(trace),
@@ -407,14 +423,16 @@ def _reweight(N: int, exponent: float, cfg: SolverConfig,
 def irls_tlp(A, y, params: PenaltyParams, cfg: SolverConfig) -> SolveResult:
     """Outer reweighting loop (``_reweight``) around the DC inner solver.
 
-    Each outer step is one ``dca_subproblem`` solve at the frozen weights.
+    Each outer step is one ``dca_subproblem`` solve at the frozen weights,
+    to the eps-tied tolerance max(inner_tol, inner_tol_eps * min(eps, 1)).
     """
     A, y = _problem(A, y, cfg)
     obj_trace: list[float] = []
     inner_traces: list[list[float]] = []
 
     def dca_step(x, w, eps):
-        inner = dca_subproblem(A, y, params, w, cfg)
+        tol = max(cfg.inner_tol, cfg.inner_tol_eps * min(eps, 1.0))
+        inner = dca_subproblem(A, y, params, w, cfg, tol=tol)
         inner_traces.append(inner.f_trace.tolist())
         res = inner.residual
         obj_trace.append(float(cfg.lam * penalty_tlp(params, inner.x)

@@ -226,20 +226,44 @@ class TestSolve:
         p2.pop("wall_time_ms")
         assert p1 == p2
 
-    def test_every_knob_has_a_flag_and_a_plan_key(self, tmp_path):
+    def test_every_knob_has_a_flag_and_a_plan_key(self, tmp_path,
+                                                  identity_matrix, capsys):
         from dataclasses import fields
         from tlpsparse.cli import build_parser, parse_plan_file
         from tlpsparse.solver import Schedule
         parser = build_parser()
         spec, want = {"method": "tlp"}, {}
+        y = tmp_path / "y.txt"
+        write_vector(y, [1.0, 0.0, 0.0, 0.0])
+        solve = ["solve", "--matrix", str(identity_matrix),
+                 "--measurements", str(y), "--s", "1"]
+        cfg_file = tmp_path / "cfg.json"
+        bad_plan = tmp_path / "bad.json"
         for f in fields(Schedule):
             key = "lambda" if f.name == "lam" else f.name
+            flag = f"--{key.replace('_', '-')}"
             value = f.default * 3  # valid, and not the default
-            args = parser.parse_args(["solve", "--matrix", "A.csv",
-                                      f"--{key.replace('_', '-')}",
+            args = parser.parse_args(["solve", "--matrix", "A.csv", flag,
                                       str(value)])
             assert getattr(args, f.name) == value
             spec[key] = want[f.name] = value
+            # each entry point exits 2 on a bad value, naming the knob
+            for bad in (0, -1, True, "1e-3"):
+                bad_plan.write_text(json.dumps({
+                    "family": "gaussian", "M": 4, "N": 8, "sparsities": [1],
+                    "solvers": [{"method": "tlp", key: bad}]}))
+                assert main(["bench", "--plan", str(bad_plan)]) == 2, key
+                assert capsys.readouterr().err.startswith(f"error: {key} ")
+                cfg_file.write_text(json.dumps({key: bad}))
+                assert main(solve + ["--config", str(cfg_file)]) == 2, key
+                assert capsys.readouterr().err.startswith(f"error: {key} ")
+            for bad in ("0", "-1"):
+                assert main(solve + [flag, bad]) == 2, key
+                assert capsys.readouterr().err.startswith(f"error: {key} ")
+            with pytest.raises(SystemExit) as exc:
+                main(solve + [flag, "true"])
+            assert exc.value.code == 2
+            assert f"argument {flag}: invalid" in capsys.readouterr().err
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"family": "gaussian", "M": 4, "N": 8,
                                     "sparsities": [1], "solvers": [spec]}))
@@ -423,7 +447,21 @@ class TestBench:
          "a_grid must be a number, got True"),
         ({"kind": "sweep", "a_grid": [1.0], "p_grid": ["0.7"],
           "sparsity": 1, "sparsities": None},
-         "p_grid must be a number, got '0.7'")])
+         "p_grid must be a number, got '0.7'"),
+        ({"family": "dct", "param": 0},
+         "param must be positive and finite for family dct, got 0"),
+        ({"family": "dct", "param": math.inf},
+         "param must be positive and finite for family dct, got inf"),
+        ({"param": 1.5},
+         "param must lie in [0, 1) for family gaussian, got 1.5"),
+        ({"param": math.inf},
+         "param must lie in [0, 1) for family gaussian, got inf"),
+        ({"kind": "sweep", "a_grid": [1.0], "p_grid": [0.7], "sparsity": 1,
+          "sparsities": None, "family": "dct", "param": 0},
+         "param must be positive and finite for family dct, got 0"),
+        ({"kind": "sweep", "a_grid": [1.0], "p_grid": [0.7], "sparsity": 1,
+          "sparsities": None, "param": 1.5},
+         "param must lie in [0, 1) for family gaussian, got 1.5")])
     def test_bad_plan_numbers_exit_2(self, tmp_path, capsys, over, named):
         # checked before any trial runs, naming the key as written; a None
         # value drops the key from the plan

@@ -400,6 +400,81 @@ class TestIrlsTlp:
         assert rel < 1e-3
 
 
+def fixed_tol_tlp(A, y, params, cfg):
+    """irls_tlp's outer loop from _reweight and dca_subproblem at its
+    default tolerance, cfg.inner_tol, with the solver's traces."""
+    obj, inner = [], []
+
+    def step(x, w, eps):
+        r = dca_subproblem(A, y, params, w, cfg)
+        inner.append(r.f_trace.tolist())
+        obj.append(float(cfg.lam * penalty_tlp(params, r.x)
+                         + 0.5 * (r.residual @ r.residual)))
+        return r.x
+
+    run = _reweight(A.shape[1], params.p, cfg, step)
+    grad_inf = float(np.max(np.abs(grad_f_w(A, y, params, cfg.lam, run.w,
+                                            run.x))))
+    return run, obj, inner, grad_inf
+
+
+class TestInnerTolEps:
+    @pytest.mark.parametrize("family", ["gaussian", "dct"])
+    def test_fallback_is_the_fixed_tolerance_bit_for_bit(self, family):
+        # inner_tol_eps = inner_tol makes the eps-tied tolerance
+        # max(inner_tol, inner_tol * min(eps, 1)) = inner_tol at every step
+        if family == "gaussian":
+            A, s, p = gen_gaussian(64, 256, 0.0, seed=81).entries, 12, 0.7
+        else:
+            A, s, p = gen_dct(100, 1500, 10.0, seed=82).entries, 5, 1.0
+        x0 = gen_signal(A.shape[1], s, seed=83).vector
+        y = A @ x0
+        params = PenaltyParams(1.0, p)
+        cfg = SolverConfig(s=s, inner_tol_eps=SolverConfig.inner_tol)
+        got = irls_tlp(A, y, params, cfg)
+        run, obj, inner, grad_inf = fixed_tol_tlp(A, y, params, cfg)
+        assert np.array_equal(got.x, run.x)
+        assert np.array_equal(got.objective_trace, obj)
+        assert np.array_equal(got.eps_trace, run.eps_trace)
+        assert np.array_equal(got.w_inf_trace, run.w_inf_trace)
+        assert len(got.inner_f_traces) == len(inner)
+        for t_got, t_ref in zip(got.inner_f_traces, inner):
+            assert np.array_equal(t_got, t_ref)
+        assert got.final_grad_inf == grad_inf
+        assert got.final_eps == run.eps
+        assert got.outer_iters == run.outer
+        assert got.total_inner_iters == sum(len(t) - 1 for t in inner)
+        assert got.converged == run.status
+        assert np.linalg.norm(got.x - x0) < 1e-3 * np.linalg.norm(x0)
+
+    @pytest.mark.parametrize("s, seed, recovered, default, fixed", [
+        (14, 1, True, (13, 78), (13, 119)),
+        (32, 4, False, (288, 2062), (289, 4386))])
+    def test_loose_early_solves_save_inner_steps(self, s, seed, recovered,
+                                                 default, fixed):
+        # (outer, inner) counts with the default inner_tol_eps and with
+        # the fixed tolerance; both are deterministic, so pinned exactly
+        A = gen_gaussian(64, 256, 0.0, seed).entries
+        x0 = gen_signal(256, s, seed + 100).vector
+        y = A @ x0
+        params = PenaltyParams(1.0, 0.7)
+        loose = irls_tlp(A, y, params, SolverConfig(s=s))
+        tight = irls_tlp(A, y, params, SolverConfig(
+            s=s, inner_tol_eps=SolverConfig.inner_tol))
+        assert (loose.outer_iters, loose.total_inner_iters) == default
+        assert (tight.outer_iters, tight.total_inner_iters) == fixed
+        assert loose.total_inner_iters < tight.total_inner_iters
+        rel = [np.linalg.norm(r.x - x0) / np.linalg.norm(x0)
+               for r in (loose, tight)]
+        if recovered:
+            assert max(rel) < 1e-3
+            # the A10 stationarity bound of the acceptance gate
+            bound = 1e-6 * (1.0 + np.max(np.abs(A.T @ y)))
+            assert loose.final_grad_inf <= bound
+        else:
+            assert min(rel) > 1e-3
+
+
 class TestIrlsConstrained:
     def test_identity_matrix_returns_y(self):
         y = np.array([0.5, -1.5, 2.0, 0.0])
