@@ -19,7 +19,7 @@ from .penalty import (PenaltyParams, penalty_lap, penalty_lp, penalty_tlp,
 from .sensing import (SensingMatrix, SparseSignal, coherence, derive_seed,
                       gen_dct, gen_gaussian, gen_signal, load_matrix_csv,
                       save_matrix_csv)
-from .solver import (DcaResult, SolveResult, SolverConfig, dca_subproblem,
+from .solver import (DcaResult, Schedule, SolveResult, dca_subproblem,
                      grad_phi_w, irls_constrained, irls_lq_baseline,
                      irls_tlp)
 from .theory import (RipBound, StabilityConstants, normalization_beta,
@@ -33,7 +33,7 @@ __all__ = [
     "SensingMatrix", "SparseSignal", "gen_gaussian", "gen_dct",
     "gen_signal", "coherence", "derive_seed", "save_matrix_csv",
     "load_matrix_csv",
-    "SolverConfig", "SolveResult", "DcaResult", "grad_phi_w",
+    "Schedule", "SolveResult", "DcaResult", "grad_phi_w",
     "dca_subproblem", "irls_tlp", "irls_constrained", "irls_lq_baseline",
 ]
 

@@ -20,13 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .penalty import PenaltyParams
 from .sensing import derive_seed, gen_dct, gen_gaussian, gen_signal
-from .solver import (Schedule, SolverConfig, _check_number, _check_positive,
+from .solver import (Schedule, _check_number, _check_positive,
                      irls_constrained, irls_lq_baseline, irls_tlp)
 
 CSV_HEADER = ("solver,a,p,kappa,family,M,N,param,sparsity,trials,"
@@ -77,10 +77,6 @@ class SolverSpec(Schedule):
     @property
     def display(self) -> str:
         return self.label if self.label else self.canonical_id
-
-    def config(self, s: int) -> SolverConfig:
-        return SolverConfig(s=s, **{f.name: getattr(self, f.name)
-                                    for f in fields(Schedule)})
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -181,15 +177,15 @@ def solve(spec: SolverSpec, A, y, s: int):
 
     The one method dispatch, for the harness and the CLI alike.  It looks
     the solvers up in this module's globals at call time, so patching
-    ``bench.irls_*`` reaches both.
+    ``bench.irls_*`` reaches both.  The spec is a ``Schedule``, so it
+    goes to the solver as its knobs.
     """
-    cfg = spec.config(s)
     if spec.method == "lq":
-        return irls_lq_baseline(A, y, spec.q, cfg)
+        return irls_lq_baseline(A, y, spec.q, s, spec)
     params = PenaltyParams(spec.a, spec.p)
     if spec.method == "tlp":
-        return irls_tlp(A, y, params, cfg)
-    return irls_constrained(A, y, params, cfg)
+        return irls_tlp(A, y, params, s, spec)
+    return irls_constrained(A, y, params, s, spec)
 
 
 def run_trial(plan: ExperimentPlan, spec: SolverSpec, sparsity: int,

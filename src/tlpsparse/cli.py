@@ -35,7 +35,7 @@ from .penalty import PenaltyParams, relaxation_degree
 from .sensing import (gen_dct, gen_gaussian, load_matrix_csv, load_vector,
                       save_matrix_csv)
 # irls_* are not called here; benchmarks/tracing.py wraps them at install
-from .solver import (SolverConfig, irls_constrained,  # noqa: F401
+from .solver import (_check_positive, irls_constrained,  # noqa: F401
                      irls_lq_baseline, irls_tlp)
 from .theory import rip_bound, stability_constants
 
@@ -52,9 +52,9 @@ _SPELLING = {"lam": "lambda"}
 # solver-spec keys of plan files, mapped to SolverSpec fields
 _SPEC_KEYS = {_SPELLING.get(f.name, f.name): f
               for f in fields(bench_mod.SolverSpec)}
-# solve options (config keys and flags): the spec keys but label, plus s
-_SOLVE_KEYS = {**{k: f for k, f in _SPEC_KEYS.items() if k != "label"},
-               "s": next(f for f in fields(SolverConfig) if f.name == "s")}
+# solve options (config keys and flags): the spec keys but label; the
+# target sparsity "s" is a solve argument, declared on its own
+_SOLVE_KEYS = {k: f for k, f in _SPEC_KEYS.items() if k != "label"}
 
 
 def _reject_unknown(d: dict, allowed, what: str) -> None:
@@ -93,9 +93,12 @@ def _solve_spec(args) -> tuple[bench_mod.SolverSpec, int]:
     for key, f in _SOLVE_KEYS.items():
         if getattr(args, f.name) is not None:
             opts[key] = getattr(args, f.name)
+    if args.s is not None:
+        opts["s"] = args.s
     if "s" not in opts:
         raise ValueError("target sparsity --s is required")
     s = opts.pop("s")
+    _check_positive("s", s, integral=True)
     return _parse_spec(opts, _SOLVE_KEYS, "config"), s
 
 
@@ -250,6 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         kind = {"int": int, "float": float}.get(f.type)
         ps.add_argument("--" + key.replace("_", "-"), dest=f.name, type=kind,
                         choices=bench_mod.METHODS if key == "method" else None)
+    ps.add_argument("--s", type=int)
     ps.set_defaults(func=cmd_solve)
 
     pb = sub.add_parser("bench", help="run a success-rate plan file")

@@ -14,6 +14,7 @@ penalty sits closer to l0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,14 @@ def penalty_lap(params: PenaltyParams, x) -> float:
 _KINDS = ("tlp", "lp", "lap")
 
 
+def _pow(x: float, y: float) -> float:
+    """x ** y, or inf where it overflows."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
 def relaxation_degree(kind: str, params: PenaltyParams, N: int) -> float:
     """Distance from the origin to the unit level set along the diagonal.
 
@@ -81,17 +90,27 @@ def relaxation_degree(kind: str, params: PenaltyParams, N: int) -> float:
       tlp:  [a / ((a+1) N - 1)]^(1/p) * sqrt(N)
       lp:   N^(1/2 - 1/p)
       lap:  a / ((a+1) N^(1/p) - 1) * sqrt(N)
+
+    At N = 1 every kind is exactly 1, since rho(1) = 1; the tlp and lap
+    forms would divide by (a+1) - 1 there, which rounds to 0 for tiny a.
+    Where N^(1/p) overflows, lap returns its limit 0.0, as tlp and lp do
+    when their powers underflow.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     if N < 1:
         raise ValueError("N must be a positive integer")
+    if N > sys.float_info.max:
+        raise ValueError(f"N={N} does not fit in a float")
+    if N == 1:
+        return 1.0
     a, p = params.a, params.p
     if kind == "tlp":
         return (a / ((a + 1.0) * N - 1.0)) ** (1.0 / p) * math.sqrt(N)
     if kind == "lp":
         return float(N) ** (0.5 - 1.0 / p)
-    return a / ((a + 1.0) * N ** (1.0 / p) - 1.0) * math.sqrt(N)
+    n_p = _pow(float(N), 1.0 / p)
+    return a / ((a + 1.0) * n_p - 1.0) * math.sqrt(N)
 
 
 def _diag_penalty(kind: str, params: PenaltyParams, N: int, t: float) -> float:

@@ -172,7 +172,8 @@ def load_matrix_csv(path: str) -> SensingMatrix:
     value is a decimal float with optional sign, fraction and exponent
     (``-1.5e-3``, ``.5``, ``7``), spaces or tabs around it allowed; ``inf``
     and ``nan`` parse but are rejected as non-finite.  Underscores
-    (``1_0``, also in the header), hex and ``#`` comments are errors.
+    (``1_0``, also in the header), hex and ``#`` comments are errors, and
+    the header must hold two positive integers.
     Blank lines are skipped and CRLF endings accepted.  Any malformed file
     raises ValueError naming the path, and a bad row also its 1-based line
     (counting the header and blank lines).
@@ -184,6 +185,8 @@ def load_matrix_csv(path: str) -> SensingMatrix:
             if "_" in header:  # int() takes "2_0", as float() takes "1_0"
                 raise ValueError(header)
             M, N = (int(tok) for tok in header.split(","))
+            if M < 1 or N < 1:
+                raise ValueError(header)
         except ValueError as exc:
             raise ValueError(f"bad matrix header {header!r} in {path}") from exc
         entries = _parse_rows((ln for ln in fh if not ln.isspace()),

@@ -54,9 +54,10 @@ def _check_positive(name: str, value, integral: bool) -> None:
 
 @dataclass(frozen=True, kw_only=True)
 class Schedule:
-    """The solver knobs, declared once: ``SolverConfig`` and
-    ``bench.SolverSpec`` inherit them, and the CLI derives its flags and
-    plan keys from them.
+    """The solver knobs, declared once: ``bench.SolverSpec`` inherits
+    them, and the CLI derives its flags and plan keys from them.  The
+    target sparsity s is not a knob but part of the problem, so the
+    solvers take it as an argument.
 
     ``c`` is the strong-convexity constant added to both halves of the DC
     split; it must stay well below lam * (a+1)/a * w for typical weights or
@@ -90,21 +91,6 @@ class Schedule:
     def __post_init__(self) -> None:
         for f in fields(Schedule):
             _check_positive(f.name, getattr(self, f.name), f.type == "int")
-
-
-@dataclass(frozen=True)
-class SolverConfig(Schedule):
-    """The schedule knobs of one solve, plus its target sparsity.
-
-    ``s`` is the sparsity the eps schedule targets (the tail magnitude
-    r(x)_{s+1} drives both the eps update and the stopping tests).
-    """
-
-    s: int
-
-    def __post_init__(self) -> None:
-        _check_positive("s", self.s, integral=True)
-        super().__post_init__()
 
 
 def _weights(x: np.ndarray, eps: float, kappa: float,
@@ -282,7 +268,8 @@ class _SpdSolver:
 
 
 def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
-                   cfg: SolverConfig, tol: float | None = None) -> DcaResult:
+                   cfg: Schedule = Schedule(),
+                   tol: float | None = None) -> DcaResult:
     """Difference-of-convex iteration for the weighted subproblem, started
     at x = 0.
 
@@ -295,10 +282,11 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
     All steps share one factor of the m x m dual (``_SpdSolver``).
     Stops when the sup-norm step falls below ``tol`` relative to the
     iterate scale, ||x_new - x||_inf < tol max(||x_new||_inf, 1), or at
-    inner_max.  ``tol`` defaults to cfg.inner_tol; ``irls_tlp`` passes
-    the eps-tied tolerance of ``Schedule``.  The recorded f_w values are
-    nonincreasing (both split halves are strongly convex with modulus
-    >= 2c).
+    inner_max.  Only lam, c, inner_tol and inner_max of ``cfg`` are read;
+    the subproblem has no target sparsity.  ``tol`` defaults to
+    cfg.inner_tol; ``irls_tlp`` passes the eps-tied tolerance of
+    ``Schedule``.  The recorded f_w values are nonincreasing (both split
+    halves are strongly convex with modulus >= 2c).
     """
     A = _as_array(A)
     y = np.asarray(y, dtype=float)
@@ -340,16 +328,17 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
                      iters=iters, converged=converged)
 
 
-def _problem(A, y, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """A and y as float arrays, checked against each other and cfg.s."""
+def _problem(A, y, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """A and y as float arrays, checked against each other and s."""
+    _check_positive("s", s, integral=True)
     A = _as_array(A)
     y = np.asarray(y, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a matrix")
     if y.ndim != 1 or y.size != A.shape[0]:
         raise ValueError(f"y has length {y.size}, expected {A.shape[0]}")
-    if cfg.s >= A.shape[1]:
-        raise ValueError(f"target sparsity s={cfg.s} must be below N={A.shape[1]}")
+    if s >= A.shape[1]:
+        raise ValueError(f"target sparsity s={s} must be below N={A.shape[1]}")
     if not (np.isfinite(A).all() and np.isfinite(y).all()):
         raise ValueError("A and y must be finite")
     return A, y
@@ -365,10 +354,11 @@ class _Reweighted(NamedTuple):
     w_inf_trace: list[float]
 
 
-def _reweight(N: int, exponent: float, cfg: SolverConfig,
+def _reweight(N: int, exponent: float, s: int, cfg: Schedule,
               step: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
               stop_on_step: bool = False) -> _Reweighted:
-    """The outer reweighting schedule that all three solvers share.
+    """The outer reweighting schedule that all three solvers share, at
+    target sparsity s with the knobs of ``cfg``.
 
     Starts from x = 0 with eps = eps0.  Each outer iteration freezes the
     weights w = (x^2 + eps^kappa)^((exponent-2)/2), moves to
@@ -404,7 +394,7 @@ def _reweight(N: int, exponent: float, cfg: SolverConfig,
         w_inf_trace.append(float(np.max(w)))
         x_old, x = x, step(x, w, eps)
         outer += 1
-        tail = tail_magnitude(x, cfg.s)
+        tail = tail_magnitude(x, s)
         eps = min(eps, tail / cfg.delta_scale)
         if stop_on_step and np.max(np.abs(x - x_old)) < cfg.outer_tol_step:
             status = "step_converged"
@@ -420,13 +410,14 @@ def _reweight(N: int, exponent: float, cfg: SolverConfig,
     return _Reweighted(x, w, eps, outer, status, eps_trace, w_inf_trace)
 
 
-def irls_tlp(A, y, params: PenaltyParams, cfg: SolverConfig) -> SolveResult:
+def irls_tlp(A, y, params: PenaltyParams, s: int,
+             cfg: Schedule = Schedule()) -> SolveResult:
     """Outer reweighting loop (``_reweight``) around the DC inner solver.
 
     Each outer step is one ``dca_subproblem`` solve at the frozen weights,
     to the eps-tied tolerance max(inner_tol, inner_tol_eps * min(eps, 1)).
     """
-    A, y = _problem(A, y, cfg)
+    A, y = _problem(A, y, s)
     obj_trace: list[float] = []
     inner_traces: list[list[float]] = []
 
@@ -439,7 +430,7 @@ def irls_tlp(A, y, params: PenaltyParams, cfg: SolverConfig) -> SolveResult:
                                + 0.5 * (res @ res)))
         return inner.x
 
-    run = _reweight(A.shape[1], params.p, cfg, dca_step)
+    run = _reweight(A.shape[1], params.p, s, cfg, dca_step)
     grad_inf = float(np.max(np.abs(grad_f_w(
         A, y, params, cfg.lam, run.w, run.x)))) if run.outer else 0.0
     return SolveResult(
@@ -521,7 +512,8 @@ def _feasible_minimizer(A: np.ndarray, y: np.ndarray, params: PenaltyParams,
     return best_x
 
 
-def irls_constrained(A, y, params: PenaltyParams, cfg: SolverConfig,
+def irls_constrained(A, y, params: PenaltyParams, s: int,
+                     cfg: Schedule = Schedule(),
                      exact_update: bool = False) -> SolveResult:
     """Reweighted least squares for  min P(x)  s.t.  Ax = y.
 
@@ -537,7 +529,7 @@ def irls_constrained(A, y, params: PenaltyParams, cfg: SolverConfig,
     ``objective_trace`` records the penalty value per outer iterate and
     ``j_trace`` the matched surrogate value; both include the final point.
     """
-    A, y = _problem(A, y, cfg)
+    A, y = _problem(A, y, s)
     a, p = params.a, params.p
     j_trace: list[float] = []
     pen_trace: list[float] = []
@@ -556,7 +548,7 @@ def irls_constrained(A, y, params: PenaltyParams, cfg: SolverConfig,
         cands = [frozen] if len(j_trace) == 1 else [frozen, x]
         return _feasible_minimizer(A, y, params, omega, eps, cfg.kappa, cands)
 
-    run = _reweight(A.shape[1], p, cfg, ls_step, stop_on_step=True)
+    run = _reweight(A.shape[1], p, s, cfg, ls_step, stop_on_step=True)
     j_trace.append(j_closed_form(params, run.x, run.eps, cfg.kappa))
     pen_trace.append(penalty_tlp(params, run.x))
     return SolveResult(
@@ -568,7 +560,8 @@ def irls_constrained(A, y, params: PenaltyParams, cfg: SolverConfig,
         eps_trace=run.eps_trace + [run.eps])
 
 
-def irls_lq_baseline(A, y, q: float, cfg: SolverConfig) -> SolveResult:
+def irls_lq_baseline(A, y, q: float, s: int,
+                     cfg: Schedule = Schedule()) -> SolveResult:
     """IRLS for  lam ||x||_q^q + 1/2 ||Ax - y||^2  with the same schedule.
 
     One ridge-regularized normal-equation solve per outer iteration with
@@ -578,7 +571,7 @@ def irls_lq_baseline(A, y, q: float, cfg: SolverConfig) -> SolveResult:
     """
     if not (0 < q <= 1):
         raise ValueError("q must lie in (0, 1]")
-    A, y = _problem(A, y, cfg)
+    A, y = _problem(A, y, s)
     zero = np.zeros(A.shape[1])
     obj_trace: list[float] = []
 
@@ -589,7 +582,7 @@ def irls_lq_baseline(A, y, q: float, cfg: SolverConfig) -> SolveResult:
         obj_trace.append(float(cfg.lam * penalty_lp(q, x) + 0.5 * (res @ res)))
         return x
 
-    run = _reweight(A.shape[1], q, cfg, ridge_step)
+    run = _reweight(A.shape[1], q, s, cfg, ridge_step)
     return SolveResult(
         solver=f"lq(q={q:g})",
         x=run.x, outer_iters=run.outer, total_inner_iters=run.outer,

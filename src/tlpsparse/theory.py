@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .penalty import PenaltyParams, penalty_tlp
+from .penalty import PenaltyParams, _pow, penalty_tlp
 
 #: residual target for the scalar root solve
 _ROOT_RESIDUAL = 1e-12
@@ -51,11 +51,28 @@ class StabilityConstants:
     c2: float
 
 
+def _at(params: PenaltyParams, gamma: float, **more: float) -> str:
+    """The inputs, as an error message names them."""
+    at = {"a": params.a, "p": params.p, "gamma": gamma, **more}
+    return "at " + ", ".join(f"{k}={v!r}" for k, v in at.items())
+
+
+def _finite(name: str, value: float, params: PenaltyParams, gamma: float,
+            **more: float) -> float:
+    """value, or a ValueError naming the inputs it overflows at."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} does not fit in a float "
+                         f"{_at(params, gamma, **more)}")
+    return value
+
+
 def _root_rhs(params: PenaltyParams, gamma: float) -> float:
     # K = ((a+1)/a * gamma)^(p/(2-p)), the constant the root equation is
-    # calibrated against
+    # calibrated against; the exponent is at most 1, so K is finite
+    # whenever the base is
     a, p = params.a, params.p
-    return ((a + 1.0) / a * gamma) ** (p / (2.0 - p))
+    return _finite("K", ((a + 1.0) / a * gamma) ** (p / (2.0 - p)),
+                   params, gamma)
 
 
 def solve_eta0(params: PenaltyParams, gamma: float = 1.0) -> float:
@@ -64,18 +81,22 @@ def solve_eta0(params: PenaltyParams, gamma: float = 1.0) -> float:
     K = ((a+1)/a * gamma)^(p/(2-p)).  The function is strictly increasing
     with a sign change on (0, (1 - p/2) K), so bisection always brackets;
     a few Newton steps polish the root below the 1e-12 residual target.
+    Where eta^(2/p) overflows, f counts as +inf.  A gamma that is not
+    finite, a K that does not fit in a float, or a root that floats cannot
+    resolve to the residual target (for tiny p, eta^(2/p) jumps by orders
+    of magnitude between adjacent floats near eta = 1) raises ValueError.
     """
-    if gamma < 1.0:
-        raise ValueError("gamma must be >= 1")
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 1, got {gamma!r}")
     p = params.p
     K = _root_rhs(params, gamma)
     rhs = (2.0 - p) * K
 
     def f(eta: float) -> float:
-        return p * eta ** (2.0 / p) + 2.0 * eta - rhs
+        return p * _pow(eta, 2.0 / p) + 2.0 * eta - rhs
 
     def fprime(eta: float) -> float:
-        return 2.0 * eta ** (2.0 / p - 1.0) + 2.0
+        return 2.0 * _pow(eta, 2.0 / p - 1.0) + 2.0
 
     lo, hi = 0.0, (1.0 - p / 2.0) * K
     while hi - lo > 1e-14 * max(hi, 1.0):
@@ -90,7 +111,9 @@ def solve_eta0(params: PenaltyParams, gamma: float = 1.0) -> float:
     for _ in range(3):
         eta -= f(eta) / fprime(eta)
     if not (0.0 < eta and abs(f(eta)) < _ROOT_RESIDUAL * max(1.0, rhs)):
-        raise RuntimeError(f"root polish failed: eta={eta}, residual={f(eta)}")
+        raise ValueError(f"eta0 does not reach the residual target "
+                         f"{_at(params, gamma)}: eta={eta}, "
+                         f"residual={f(eta)}")
     return eta
 
 
@@ -113,10 +136,11 @@ def _c0_at(bound: RipBound, delta2s: float) -> float:
     a, p = bound.params.a, bound.params.p
     gamma, mu0, dlt = bound.gamma, bound.mu0, bound.delta_bound
     gap = dlt - delta2s
-    front = mu0 * math.sqrt(1.0 + ((a + 1.0) / a * gamma) ** (2.0 / p))
+    front = mu0 * math.sqrt(1.0 + _pow((a + 1.0) / a * gamma, 2.0 / p))
     num = (math.sqrt(1.0 + delta2s) * (1.0 - mu0) * (2.0 - p)
            + (2.0 - p - mu0) * math.sqrt((1.0 - p) * gap))
-    return front * num / ((2.0 - p - mu0) ** 2 * gap)
+    return _finite("C0", front * num / ((2.0 - p - mu0) ** 2 * gap),
+                   bound.params, gamma, delta2s=delta2s)
 
 
 def stability_constants(bound: RipBound, delta2s: float) -> StabilityConstants:
@@ -124,7 +148,8 @@ def stability_constants(bound: RipBound, delta2s: float) -> StabilityConstants:
 
     Requires delta2s < bound.delta_bound; the constants blow up as the gap
     closes and the theory gives nothing beyond it.  c0 uses the bound's own
-    gamma; c1 is the gamma = 1 specialization and c2 = 2 * c1.
+    gamma; c1 is the gamma = 1 specialization and c2 = 2 * c1.  A constant
+    that does not fit in a float raises ValueError.
     """
     if not (0.0 <= delta2s < bound.delta_bound):
         raise ValueError(
@@ -132,7 +157,8 @@ def stability_constants(bound: RipBound, delta2s: float) -> StabilityConstants:
     c0 = _c0_at(bound, delta2s)
     bound1 = bound if bound.gamma == 1.0 else rip_bound(bound.params, 1.0)
     c1 = _c0_at(bound1, delta2s)
-    return StabilityConstants(delta2s=delta2s, c0=c0, c1=c1, c2=2.0 * c1)
+    c2 = _finite("C2", 2.0 * c1, bound.params, 1.0, delta2s=delta2s)
+    return StabilityConstants(delta2s=delta2s, c0=c0, c1=c1, c2=c2)
 
 
 def normalization_beta(params: PenaltyParams, x) -> float:

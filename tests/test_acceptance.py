@@ -14,7 +14,7 @@ import pytest
 from tlpsparse.bench import SolverSpec
 from tlpsparse.penalty import PenaltyParams, relaxation_degree, rho
 from tlpsparse.sensing import coherence, derive_seed, gen_dct, gen_gaussian, gen_signal
-from tlpsparse.solver import (SolverConfig, dca_subproblem, grad_phi_w,
+from tlpsparse.solver import (Schedule, dca_subproblem, grad_phi_w,
                               irls_constrained, irls_lq_baseline, irls_tlp,
                               phi_w)
 from tlpsparse.theory import rip_bound, solve_eta0
@@ -111,7 +111,7 @@ def test_a5_dca_descent():
         y = rng.standard_normal(32)
         w = np.exp(rng.uniform(-2.3, 2.3, 64))
         params = PenaltyParams(rng.uniform(0.3, 5.0), rng.uniform(0.3, 1.0))
-        cfg = SolverConfig(s=1, lam=1e-3, inner_max=40)
+        cfg = Schedule(lam=1e-3, inner_max=40)
         f = dca_subproblem(A, y, params, w, cfg).f_trace
         upticks = np.diff(f) / np.maximum(np.abs(f[:-1]), 1e-300)
         worst = max(worst, float(upticks.max()))
@@ -128,7 +128,7 @@ def test_a5_dca_descent_dual_route():
         y = rng.standard_normal(32)
         w = np.exp(rng.uniform(-2.3, 2.3, 128))
         params = PenaltyParams(rng.uniform(0.3, 5.0), rng.uniform(0.3, 1.0))
-        cfg = SolverConfig(s=1, lam=1e-3, inner_max=40)
+        cfg = Schedule(lam=1e-3, inner_max=40)
         f = dca_subproblem(A, y, params, w, cfg).f_trace
         upticks = np.diff(f) / np.maximum(np.abs(f[:-1]), 1e-300)
         worst = max(worst, float(upticks.max()))
@@ -170,11 +170,11 @@ def run_phase_cell(sparsity: int, method: str = "tlp", trials: int = 20):
         A = gen_gaussian(64, 256, 0.0, mseed)
         truth = gen_signal(256, sparsity, sseed)
         y = A.entries @ truth.vector
-        cfg = spec.config(sparsity)
         if method == "tlp":
-            res = irls_tlp(A, y, PenaltyParams(spec.a, spec.p), cfg)
+            res = irls_tlp(A, y, PenaltyParams(spec.a, spec.p), sparsity,
+                           spec)
         else:
-            res = irls_lq_baseline(A, y, spec.q, cfg)
+            res = irls_lq_baseline(A, y, spec.q, sparsity, spec)
         rel = float(np.linalg.norm(res.x - truth.vector)
                     / np.linalg.norm(truth.vector))
         outcomes.append((rel, res, float(np.max(np.abs(A.entries.T @ y)))))
@@ -210,8 +210,8 @@ def test_a9_surrogate_monotonicity_and_sandwich():
         A = gen_gaussian(16, 32, 0.0, derive_seed(MASTER_SEED, "a9", i, 0))
         truth = gen_signal(32, 3, derive_seed(MASTER_SEED, "a9", i, 1))
         y = A.entries @ truth.vector
-        cfg = SolverConfig(s=3, outer_max=40)
-        res = irls_constrained(A, y, params, cfg, exact_update=True)
+        cfg = Schedule(outer_max=40)
+        res = irls_constrained(A, y, params, 3, cfg, exact_update=True)
         j = np.asarray(res.j_trace)
         upticks = np.diff(j) / np.maximum(np.abs(j[:-1]), 1e-300)
         worst_uptick = max(worst_uptick, float(upticks.max()))

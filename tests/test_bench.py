@@ -127,11 +127,11 @@ class TestRunExperiment:
         calls = {"n": 0}
         real = bench.irls_tlp
 
-        def flaky(A, y, params, cfg):
+        def flaky(A, y, params, s, cfg):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("synthetic solver crash")
-            return real(A, y, params, cfg)
+            return real(A, y, params, s, cfg)
 
         monkeypatch.setattr(bench, "irls_tlp", flaky)
         plan = tiny_plan(sparsities=(1,), trials=3)

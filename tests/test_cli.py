@@ -1,11 +1,16 @@
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tlpsparse
 from tlpsparse.cli import main
@@ -173,7 +178,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("opts, code, named", [
         ({"inner_max": 20.0}, 2, "inner_max"), ({"s": 1.0}, 2, "s"),
-        ({"outer_max": "5"}, 2, "outer_max"), ({"lambda": 1}, 0, None)])
+        ({"outer_max": "5"}, 2, "outer_max"), ({"lambda": 1}, 0, None),
+        ({"s": "5"}, 2, "s"), ({"s": [2]}, 2, "s")])
     def test_config_number_rule(self, tmp_path, identity_matrix, capsys,
                                 opts, code, named):
         # int knobs take integers, float knobs any real number
@@ -267,7 +273,7 @@ class TestSolve:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"family": "gaussian", "M": 4, "N": 8,
                                     "sparsities": [1], "solvers": [spec]}))
-        cfg = parse_plan_file(str(plan))[1].solvers[0].config(1)
+        cfg = parse_plan_file(str(plan))[1].solvers[0]
         assert {name: getattr(cfg, name) for name in want} == want
 
 
@@ -508,6 +514,77 @@ class TestTheoryCommands:
                      "--N", "512"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(2.5e-3,
                                                                abs=0.05e-3)
+
+
+def run_main(argv):
+    """cli.main in-process, as (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# an exit-2 message names what it rejects, as "name must ..." or "name=..."
+NAMES_A_PARAM = re.compile(r"\b(a|p|gamma|delta2s|N)( must|=)")
+
+
+class TestTheoryCommandsNeverCrash:
+    """rip-bound and rd give exit 0 with finite output or exit 2 naming
+    the bad parameter, for any float flags (nan, inf and subnormals
+    included) and any --N."""
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "1e308"])
+    def test_gamma_that_is_not_finite_or_overflows_exit_2(self, gamma):
+        code, out, err = run_main(["rip-bound", "--a", "1", "--p", "0.7",
+                                   "--gamma", gamma])
+        assert (code, out) == (2, "")
+        assert "gamma" in err
+
+    def test_overflowing_bisection_still_finds_the_root(self):
+        code, out, _ = run_main(["rip-bound", "--a", "1e-300", "--p", "0.1"])
+        assert code == 0
+        assert 0.0 < json.loads(out)["eta0"] < math.inf
+
+    def test_constant_that_overflows_exit_2(self):
+        code, out, err = run_main(["rip-bound", "--a", "1e-20", "--p", "0.1",
+                                   "--delta2s", "0.01"])
+        assert (code, out) == (2, "")
+        assert "a=1e-20, p=0.1, gamma=1.0, delta2s=0.01" in err
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--kind", "lap", "--a", "1", "--p", "1e-3", "--N", "512"], 0.0),
+        (["--kind", "tlp", "--a", "1e-17", "--p", "0.5", "--N", "1"], 1.0),
+        (["--kind", "lap", "--a", "1e-17", "--p", "0.5", "--N", "1"], 1.0)])
+    def test_rd_limits(self, argv, want):
+        assert run_main(["rd", *argv]) == (0, f"{want!r}\n", "")
+
+    @staticmethod
+    def check(argv):
+        code, out, err = run_main(argv)
+        assert code in (0, 2), (argv, code, err)
+        if code == 2:
+            assert NAMES_A_PARAM.search(err), (argv, err)
+        else:
+            values = out.split() if argv[0] == "rd" else \
+                json.loads(out).values()
+            assert all(math.isfinite(float(v)) for v in values), (argv, out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(), p=st.floats(), gamma=st.none() | st.floats(),
+           delta2s=st.none() | st.floats())
+    def test_rip_bound(self, a, p, gamma, delta2s):
+        argv = ["rip-bound", f"--a={a!r}", f"--p={p!r}"]
+        for flag, v in (("gamma", gamma), ("delta2s", delta2s)):
+            if v is not None:
+                argv.append(f"--{flag}={v!r}")
+        self.check(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["tlp", "lp", "lap"]), a=st.floats(),
+           p=st.floats(), N=st.integers())
+    def test_rd(self, kind, a, p, N):
+        self.check(["rd", f"--kind={kind}", f"--a={a!r}", f"--p={p!r}",
+                    f"--N={N}"])
 
 
 class TestGenMatrix:

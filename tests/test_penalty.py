@@ -158,6 +158,18 @@ class TestRelaxationDegree:
         assert relaxation_degree("tlp", PenaltyParams(1.0, 0.7), 512) == \
             pytest.approx(1.1e-3, abs=0.05e-3)
 
+    def test_ieee_limits(self):
+        # lap's N^(1/p) overflows: the limit 0.0, as tlp and lp underflow
+        for kind in ("tlp", "lp", "lap"):
+            assert relaxation_degree(kind, PenaltyParams(1.0, 1e-3), 512) \
+                == 0.0
+        # at N = 1 the level set crosses the diagonal at t = 1, also where
+        # (a+1) - 1 rounds to 0
+        for kind in ("tlp", "lp", "lap"):
+            for a in (1e-300, 1e-17, 0.1, 1e300):
+                assert relaxation_degree(kind, PenaltyParams(a, 0.5), 1) \
+                    == 1.0
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             relaxation_degree("tlp", PenaltyParams(1.0, 0.5), 0)

@@ -183,11 +183,13 @@ class TestMatrixCsv:
             load_matrix_csv(str(path))
 
     def test_bad_header_names_path(self, tmp_path):
+        # the header must be two positive integers
         path = tmp_path / "a.csv"
-        path.write_text("2;3\n1,2,3\n1,2,3\n")
-        with pytest.raises(ValueError, match=re.escape(
-                f"bad matrix header '2;3' in {path}")):
-            load_matrix_csv(str(path))
+        for header in ("2;3", "-1,3", "2,-3", "0,3", "2,0"):
+            path.write_text(f"{header}\n1,2,3\n1,2,3\n")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"bad matrix header '{header}' in {path}")):
+                load_matrix_csv(str(path))
 
     def test_header_underscores_rejected_like_values(self, tmp_path):
         # int() would read "2_0" as 20 and fail later on the row count

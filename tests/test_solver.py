@@ -7,8 +7,8 @@ from scipy.linalg import cho_solve
 
 from tlpsparse.penalty import PenaltyParams, penalty_tlp
 from tlpsparse.sensing import gen_dct, gen_gaussian, gen_signal
-from tlpsparse.solver import (SolverConfig, _constrained_ls, _f_w_res,
-                              _reweight, _scaled_gram, _SpdSolver, _weights,
+from tlpsparse.solver import (Schedule, _constrained_ls, _f_w_res, _reweight,
+                              _scaled_gram, _SpdSolver, _weights,
                               dca_subproblem, f_w_value,
                               grad_f_w, grad_phi_w, irls_constrained,
                               irls_lq_baseline, irls_tlp, j_closed_form,
@@ -104,14 +104,14 @@ def coordinate_oracle(params, lam, w, y, grid=None):
 class TestDcaSubproblem:
     def test_zero_data_fixed_point(self):
         params = PenaltyParams(1.0, 0.7)
-        cfg = SolverConfig(s=1)
+        cfg = Schedule()
         res = dca_subproblem(np.eye(4), np.zeros(4), params, np.ones(4), cfg)
         assert np.all(res.x == 0.0)
         assert res.converged
 
     def test_identity_matrix_against_grid_oracle(self):
         params = PenaltyParams(1.0, 0.7)
-        cfg = SolverConfig(s=1, lam=1e-6, inner_max=50)
+        cfg = Schedule(lam=1e-6, inner_max=50)
         y = np.array([3.0, 0.0, 0.0, 0.0])
         w = np.ones(4)
         res = dca_subproblem(np.eye(4), y, params, w, cfg)
@@ -127,16 +127,15 @@ class TestDcaSubproblem:
             w = np.exp(rng.uniform(-2, 2, 16))
             params = PenaltyParams(rng.uniform(0.5, 4.0),
                                    rng.uniform(0.3, 1.0))
-            cfg = SolverConfig(s=1, lam=1e-3, inner_max=40)
+            cfg = Schedule(lam=1e-3, inner_max=40)
             res = dca_subproblem(A, y, params, w, cfg)
             f = res.f_trace
             assert np.all(np.diff(f) <= 1e-10 * np.abs(f[:-1]) + 1e-300)
 
     def test_rejects_nonpositive_weights(self):
-        cfg = SolverConfig(s=1)
         with pytest.raises(ValueError):
             dca_subproblem(np.eye(3), np.zeros(3), PenaltyParams(1, 0.5),
-                           np.array([1.0, 0.0, 1.0]), cfg)
+                           np.array([1.0, 0.0, 1.0]))
 
     @pytest.mark.parametrize("family", ["gaussian", "dct"])
     def test_bit_identical_to_unfused_loop(self, family):
@@ -150,7 +149,7 @@ class TestDcaSubproblem:
         x0 = gen_signal(N, s, seed=63).vector
         y = A @ x0
         near = x0 + 1e-2 * np.random.default_rng(64).standard_normal(N)
-        cfg = SolverConfig(s=s)
+        cfg = Schedule()
         stops = set()
         for a in (0.1, 1.0, 5.0):
             for p in (0.5, 0.7, 1.0):
@@ -194,7 +193,7 @@ class TestSpdSystem:
     def test_eigenvalues_at_least_2c(self):
         rng = np.random.default_rng(17)
         params = PenaltyParams(1.0, 0.7)
-        cfg = SolverConfig(s=1, c=1e-2)
+        cfg = Schedule(c=1e-2)
         for _ in range(5):
             A = rng.standard_normal((6, 12))
             w = np.exp(rng.uniform(-3, 3, 12))
@@ -256,7 +255,7 @@ class TestSpdRoutes:
         # entry must agree with a fresh f_w_value at the returned x
         rng = np.random.default_rng(53)
         params = PenaltyParams(1.0, 0.7)
-        cfg = SolverConfig(s=5)
+        cfg = Schedule()
         for _ in range(5):
             A, d, y, _ = _dca_like_system(rng, 32, 128, 5)
             w = d / d.max() * 1e6
@@ -302,11 +301,10 @@ class TestScaledGram:
 
 
 SOLVERS = {
-    "tlp": lambda A, y: irls_tlp(A, y, PenaltyParams(1, 0.7),
-                                 SolverConfig(s=1)),
-    "lq": lambda A, y: irls_lq_baseline(A, y, 0.5, SolverConfig(s=1)),
-    "constrained": lambda A, y: irls_constrained(A, y, PenaltyParams(1, 0.7),
-                                                 SolverConfig(s=1)),
+    "tlp": lambda A, y, s=1: irls_tlp(A, y, PenaltyParams(1, 0.7), s),
+    "lq": lambda A, y, s=1: irls_lq_baseline(A, y, 0.5, s),
+    "constrained": lambda A, y, s=1: irls_constrained(
+        A, y, PenaltyParams(1, 0.7), s),
 }
 
 
@@ -324,8 +322,7 @@ def test_raw_arrays_must_be_finite(solve):
 
 class TestIrlsTlp:
     def test_zero_measurements(self):
-        res = irls_tlp(np.eye(8), np.zeros(8), PenaltyParams(1, 0.7),
-                       SolverConfig(s=2))
+        res = irls_tlp(np.eye(8), np.zeros(8), PenaltyParams(1, 0.7), 2)
         assert np.all(res.x == 0.0)
         assert res.converged == "sparsity_reached"
         assert res.outer_iters == 1
@@ -334,21 +331,21 @@ class TestIrlsTlp:
         A = gen_gaussian(64, 256, 0.0, seed=42)
         truth = gen_signal(256, 10, seed=43)
         y = A.entries @ truth.vector
-        cfg = SolverConfig(s=10)
-        res = irls_tlp(A, y, PenaltyParams(1.0, 0.7), cfg)
+        cfg = Schedule()
+        res = irls_tlp(A, y, PenaltyParams(1.0, 0.7), 10, cfg)
         rel = np.linalg.norm(res.x - truth.vector) / np.linalg.norm(truth.vector)
         assert rel < 1e-3
         assert res.residual < 1e-6 * np.linalg.norm(y)
         if res.converged == "sparsity_reached":
-            assert tail_magnitude(res.x, cfg.s) < cfg.outer_tol_mag
+            assert tail_magnitude(res.x, 10) < cfg.outer_tol_mag
 
     def test_eps_monotone_and_weight_bound(self):
         A = gen_gaussian(32, 64, 0.0, seed=3)
         truth = gen_signal(64, 5, seed=4)
         y = A.entries @ truth.vector
         params = PenaltyParams(1.0, 0.7)
-        cfg = SolverConfig(s=5)
-        res = irls_tlp(A, y, params, cfg)
+        cfg = Schedule()
+        res = irls_tlp(A, y, params, 5, cfg)
         eps = np.array(res.eps_trace)
         assert np.all(np.diff(eps) <= 0.0)
         assert res.final_eps <= eps[-1]
@@ -359,7 +356,7 @@ class TestIrlsTlp:
         A = gen_gaussian(32, 64, 0.0, seed=31)
         truth = gen_signal(64, 5, seed=32)
         y = A.entries @ truth.vector
-        res = irls_tlp(A, y, PenaltyParams(1.0, 0.7), SolverConfig(s=5))
+        res = irls_tlp(A, y, PenaltyParams(1.0, 0.7), 5)
         for trace in res.inner_f_traces:
             f = np.asarray(trace)
             assert np.all(np.diff(f) <= 1e-10 * np.abs(f[:-1]) + 1e-300)
@@ -368,24 +365,21 @@ class TestIrlsTlp:
         A = gen_gaussian(24, 48, 0.0, seed=55)
         truth = gen_signal(48, 4, seed=56)
         y = A.entries @ truth.vector
-        r1 = irls_tlp(A, y, PenaltyParams(1, 0.7), SolverConfig(s=4))
-        r2 = irls_tlp(A, y, PenaltyParams(1, 0.7), SolverConfig(s=4))
+        r1 = irls_tlp(A, y, PenaltyParams(1, 0.7), 4)
+        r2 = irls_tlp(A, y, PenaltyParams(1, 0.7), 4)
         assert np.array_equal(r1.x, r2.x)
         assert r1.outer_iters == r2.outer_iters
         assert r1.objective_trace == r2.objective_trace
 
     def test_dimension_errors(self):
         with pytest.raises(ValueError):
-            irls_tlp(np.eye(4), np.zeros(3), PenaltyParams(1, 0.7),
-                     SolverConfig(s=1))
+            irls_tlp(np.eye(4), np.zeros(3), PenaltyParams(1, 0.7), 1)
         with pytest.raises(ValueError):
-            irls_tlp(np.eye(4), np.zeros(4), PenaltyParams(1, 0.7),
-                     SolverConfig(s=4))
+            irls_tlp(np.eye(4), np.zeros(4), PenaltyParams(1, 0.7), 4)
 
     def test_result_serializes(self):
         import json
-        res = irls_tlp(np.eye(4), np.zeros(4), PenaltyParams(1, 0.7),
-                       SolverConfig(s=1))
+        res = irls_tlp(np.eye(4), np.zeros(4), PenaltyParams(1, 0.7), 1)
         blob = json.dumps(res.to_dict())
         assert "objective_trace" in blob
 
@@ -395,12 +389,12 @@ class TestIrlsTlp:
         A = gen_dct(20, 120, 2.0, seed=303)
         truth = gen_signal(120, 2, seed=703)
         y = A.entries @ truth.vector
-        res = irls_tlp(A, y, PenaltyParams(1.0, 1.0), SolverConfig(s=2))
+        res = irls_tlp(A, y, PenaltyParams(1.0, 1.0), 2)
         rel = np.linalg.norm(res.x - truth.vector) / np.linalg.norm(truth.vector)
         assert rel < 1e-3
 
 
-def fixed_tol_tlp(A, y, params, cfg):
+def fixed_tol_tlp(A, y, params, s, cfg):
     """irls_tlp's outer loop from _reweight and dca_subproblem at its
     default tolerance, cfg.inner_tol, with the solver's traces."""
     obj, inner = [], []
@@ -412,7 +406,7 @@ def fixed_tol_tlp(A, y, params, cfg):
                          + 0.5 * (r.residual @ r.residual)))
         return r.x
 
-    run = _reweight(A.shape[1], params.p, cfg, step)
+    run = _reweight(A.shape[1], params.p, s, cfg, step)
     grad_inf = float(np.max(np.abs(grad_f_w(A, y, params, cfg.lam, run.w,
                                             run.x))))
     return run, obj, inner, grad_inf
@@ -430,9 +424,9 @@ class TestInnerTolEps:
         x0 = gen_signal(A.shape[1], s, seed=83).vector
         y = A @ x0
         params = PenaltyParams(1.0, p)
-        cfg = SolverConfig(s=s, inner_tol_eps=SolverConfig.inner_tol)
-        got = irls_tlp(A, y, params, cfg)
-        run, obj, inner, grad_inf = fixed_tol_tlp(A, y, params, cfg)
+        cfg = Schedule(inner_tol_eps=Schedule.inner_tol)
+        got = irls_tlp(A, y, params, s, cfg)
+        run, obj, inner, grad_inf = fixed_tol_tlp(A, y, params, s, cfg)
         assert np.array_equal(got.x, run.x)
         assert np.array_equal(got.objective_trace, obj)
         assert np.array_equal(got.eps_trace, run.eps_trace)
@@ -458,9 +452,9 @@ class TestInnerTolEps:
         x0 = gen_signal(256, s, seed + 100).vector
         y = A @ x0
         params = PenaltyParams(1.0, 0.7)
-        loose = irls_tlp(A, y, params, SolverConfig(s=s))
-        tight = irls_tlp(A, y, params, SolverConfig(
-            s=s, inner_tol_eps=SolverConfig.inner_tol))
+        loose = irls_tlp(A, y, params, s)
+        tight = irls_tlp(A, y, params, s,
+                         Schedule(inner_tol_eps=Schedule.inner_tol))
         assert (loose.outer_iters, loose.total_inner_iters) == default
         assert (tight.outer_iters, tight.total_inner_iters) == fixed
         assert loose.total_inner_iters < tight.total_inner_iters
@@ -478,8 +472,7 @@ class TestInnerTolEps:
 class TestIrlsConstrained:
     def test_identity_matrix_returns_y(self):
         y = np.array([0.5, -1.5, 2.0, 0.0])
-        res = irls_constrained(np.eye(4), y, PenaltyParams(1.0, 0.7),
-                               SolverConfig(s=3))
+        res = irls_constrained(np.eye(4), y, PenaltyParams(1.0, 0.7), 3)
         assert np.allclose(res.x, y, atol=1e-10)
         assert res.outer_iters <= 2
 
@@ -504,8 +497,8 @@ class TestIrlsConstrained:
         A = gen_gaussian(16, 32, 0.0, seed=61)
         truth = gen_signal(32, 3, seed=62)
         y = A.entries @ truth.vector
-        cfg = SolverConfig(s=3, outer_max=40)
-        res = irls_constrained(A, y, PenaltyParams(1.0, 0.7), cfg,
+        cfg = Schedule(outer_max=40)
+        res = irls_constrained(A, y, PenaltyParams(1.0, 0.7), 3, cfg,
                                exact_update=True)
         j = np.asarray(res.j_trace)
         assert np.all(np.diff(j) <= 1e-10 * np.abs(j[:-1]) + 1e-300)
@@ -515,8 +508,8 @@ class TestIrlsConstrained:
         truth = gen_signal(32, 3, seed=64)
         y = A.entries @ truth.vector
         params = PenaltyParams(1.0, 0.7)
-        cfg = SolverConfig(s=3, outer_max=40)
-        res = irls_constrained(A, y, params, cfg)
+        cfg = Schedule(outer_max=40)
+        res = irls_constrained(A, y, params, 3, cfg)
         N = 32
         a, p = params.a, params.p
         for jv, pv, ev in zip(res.j_trace, res.objective_trace,
@@ -529,8 +522,8 @@ class TestIrlsConstrained:
         A = gen_gaussian(16, 32, 0.0, seed=65)
         truth = gen_signal(32, 4, seed=66)
         y = A.entries @ truth.vector
-        cfg = SolverConfig(s=4, outer_max=40)
-        res = irls_constrained(A, y, PenaltyParams(1.0, 0.7), cfg,
+        cfg = Schedule(outer_max=40)
+        res = irls_constrained(A, y, PenaltyParams(1.0, 0.7), 4, cfg,
                                exact_update=True)
         assert max(res.objective_trace) <= res.j_trace[0] + 1e-10
 
@@ -538,36 +531,34 @@ class TestIrlsConstrained:
         A = gen_gaussian(12, 30, 0.0, seed=67)
         truth = gen_signal(30, 3, seed=68)
         y = A.entries @ truth.vector
-        res = irls_constrained(A, y, PenaltyParams(1.0, 0.7),
-                               SolverConfig(s=3))
+        res = irls_constrained(A, y, PenaltyParams(1.0, 0.7), 3)
         assert res.residual < 1e-8 * np.linalg.norm(y)
 
     def test_recovers_sparse_signal(self):
         A = gen_gaussian(16, 32, 0.0, seed=501)
         truth = gen_signal(32, 3, seed=901)
         y = A.entries @ truth.vector
-        res = irls_constrained(A, y, PenaltyParams(1.0, 0.7),
-                               SolverConfig(s=3))
+        res = irls_constrained(A, y, PenaltyParams(1.0, 0.7), 3)
         rel = np.linalg.norm(res.x - truth.vector) / np.linalg.norm(truth.vector)
         assert rel < 1e-3
 
     def test_exact_update_square_invertible(self):
         # feasible set is a single point; the polish must short-circuit
         y = np.array([1.0, -2.0, 0.5])
-        res = irls_constrained(np.eye(3), y, PenaltyParams(1.0, 0.7),
-                               SolverConfig(s=2), exact_update=True)
+        res = irls_constrained(np.eye(3), y, PenaltyParams(1.0, 0.7), 2,
+                               exact_update=True)
         assert np.allclose(res.x, y, atol=1e-8)
 
 
 class TestIrlsLq:
     def test_zero_measurements(self):
-        res = irls_lq_baseline(np.eye(6), np.zeros(6), 0.5, SolverConfig(s=2))
+        res = irls_lq_baseline(np.eye(6), np.zeros(6), 0.5, 2)
         assert np.all(res.x == 0.0)
 
     def test_identity_against_prox_oracle(self):
         y = np.array([2.0, -1.0, 0.0, 3.0])
-        cfg = SolverConfig(s=2, lam=1e-6, outer_max=200)
-        res = irls_lq_baseline(np.eye(4), y, 1.0, cfg)
+        cfg = Schedule(lam=1e-6, outer_max=200)
+        res = irls_lq_baseline(np.eye(4), y, 1.0, 2, cfg)
         grid = np.linspace(-5.0, 5.0, 2_000_001)
         want = np.empty(4)
         for i, yi in enumerate(y):
@@ -577,27 +568,31 @@ class TestIrlsLq:
 
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
-            irls_lq_baseline(np.eye(3), np.zeros(3), 1.5, SolverConfig(s=1))
+            irls_lq_baseline(np.eye(3), np.zeros(3), 1.5, 1)
 
 
 class TestConfigValidation:
     def test_positive_fields(self):
+        for solve in SOLVERS.values():
+            with pytest.raises(ValueError, match="^s must be positive"):
+                solve(np.eye(3), np.ones(3), s=0)
         with pytest.raises(ValueError):
-            SolverConfig(s=0)
+            Schedule(lam=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(s=1, lam=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(s=1, inner_max=0)
+            Schedule(inner_max=0)
 
     @pytest.mark.parametrize("kwargs, name", [
-        (dict(s=1.0), "s"), (dict(s=1, inner_max=20.0), "inner_max"),
-        (dict(s=1, outer_max=True), "outer_max"), (dict(s=1, lam="1"), "lam")])
+        (dict(s=1.0), "s"), (dict(inner_max=20.0), "inner_max"),
+        (dict(outer_max=True), "outer_max"), (dict(lam="1"), "lam")])
     def test_knob_types(self, kwargs, name):
+        knobs = dict(kwargs)
+        s = knobs.pop("s", 1)
         with pytest.raises(ValueError, match=f"^{name} must be an? "):
-            SolverConfig(**kwargs)
+            irls_tlp(np.eye(3), np.ones(3), PenaltyParams(1, 0.7), s,
+                     Schedule(**knobs))
 
     def test_float_knobs_take_any_real_number(self):
-        assert SolverConfig(s=1, lam=1, kappa=np.float64(3.0)).lam == 1
+        assert Schedule(lam=1, kappa=np.float64(3.0)).lam == 1
 
 
 class TestReweight:
@@ -610,11 +605,11 @@ class TestReweight:
         return self.V if np.array_equal(x, self.U) else self.U
 
     def test_alternating_step_with_equal_tails(self):
-        cfg = SolverConfig(s=1, outer_max=7)
-        run = _reweight(4, 0.7, cfg, self.alternate)
+        cfg = Schedule(outer_max=7)
+        run = _reweight(4, 0.7, 1, cfg, self.alternate)
         assert (run.outer, run.status) == (2, "step_converged")
         assert run.eps_trace == [1.0, 0.5]
-        run = _reweight(4, 0.7, cfg, self.alternate, stop_on_step=True)
+        run = _reweight(4, 0.7, 1, cfg, self.alternate, stop_on_step=True)
         assert (run.outer, run.status) == (7, "max_iters")
 
     def test_step_that_stays_at_zero(self):
@@ -622,14 +617,14 @@ class TestReweight:
             assert np.array_equal(w, np.ones(4))  # (0 + 1^kappa)^((p-2)/2)
             return x.copy()
 
-        cfg = SolverConfig(s=1)
-        run = _reweight(4, 0.7, cfg, stay)
+        cfg = Schedule()
+        run = _reweight(4, 0.7, 1, cfg, stay)
         assert (run.outer, run.status) == (1, "sparsity_reached")
-        run = _reweight(4, 0.7, cfg, stay, stop_on_step=True)
+        run = _reweight(4, 0.7, 1, cfg, stay, stop_on_step=True)
         assert (run.outer, run.status) == (1, "step_converged")
 
     def test_eps_underflow_freezes_at_start(self):
-        cfg = SolverConfig(s=1, eps0=1e-120)  # eps0^3 underflows to 0
-        run = _reweight(4, 0.7, cfg, self.alternate)
+        cfg = Schedule(eps0=1e-120)  # eps0^3 underflows to 0
+        run = _reweight(4, 0.7, 1, cfg, self.alternate)
         assert (run.outer, run.status) == (0, "sparsity_reached")
         assert np.array_equal(run.x, np.zeros(4)) and run.eps_trace == []

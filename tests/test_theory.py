@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,33 @@ class TestEta0:
     def test_rejects_gamma_below_one(self):
         with pytest.raises(ValueError):
             solve_eta0(PenaltyParams(1.0, 0.5), 0.5)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_rejects_gamma_that_is_not_finite(self, gamma):
+        with pytest.raises(ValueError, match="^gamma must be finite"):
+            solve_eta0(PenaltyParams(1.0, 0.7), gamma)
+
+    def test_overflow_in_bisection_counts_as_above_the_root(self):
+        # eta^(2/p) = eta^20 overflows over most of the bracket
+        params = PenaltyParams(1e-300, 0.1)
+        eta = solve_eta0(params)
+        assert abs(root_residual(params, 1.0, eta)) < 1e-12 * \
+            1.9 * (1e300 + 1.0) ** (0.1 / 1.9)
+
+    @pytest.mark.parametrize("a, p, gamma", [
+        (1.0, 0.7, 1e308), (5e-324, 1.0, 1.0)])
+    def test_k_that_overflows_names_the_inputs(self, a, p, gamma):
+        with pytest.raises(ValueError, match=re.escape(
+                f"K does not fit in a float at a={a!r}, p={p!r}, "
+                f"gamma={gamma!r}")):
+            solve_eta0(PenaltyParams(a, p), gamma)
+
+    def test_root_that_floats_cannot_resolve_names_the_inputs(self):
+        # for p near 1e-18, eta^(2/p) jumps past the residual target
+        # between adjacent floats at the root
+        with pytest.raises(ValueError, match="^eta0 does not reach the "
+                           "residual target at a=1e-100, p=1e-18"):
+            solve_eta0(PenaltyParams(1e-100, 1e-18))
 
 
 class TestRipBound:
@@ -144,6 +172,14 @@ class TestStabilityConstants:
             stability_constants(bound, 0.99)
         with pytest.raises(ValueError):
             stability_constants(bound, -0.1)
+
+    def test_constant_that_overflows_names_the_inputs(self):
+        # ((a+1)/a)^(2/p) = 1e400 at a = 1e-20, p = 0.1
+        bound = rip_bound(PenaltyParams(1e-20, 0.1))
+        with pytest.raises(ValueError, match=re.escape(
+                "C0 does not fit in a float at a=1e-20, p=0.1, gamma=1.0, "
+                "delta2s=0.01")):
+            stability_constants(bound, 0.01)
 
     def test_general_gamma_c1_still_at_gamma_one(self):
         params = PenaltyParams(2.0, 0.6)
