@@ -3,7 +3,10 @@
 A plan names a matrix family, a sparsity grid, a trial count, and one or
 more solver configurations; the harness runs every (solver, sparsity,
 trial) cell with a fresh matrix and a fresh signal, counts recoveries
-below the relative-error threshold, and emits one CSV row per cell.
+below the relative-error threshold, and emits one CSV row per cell.  An
+(a, p) sweep is such a plan too: ``sweep_specs`` turns the grid into its
+solvers, and ``sweep_to_csv`` writes its cells as
+``a,p,sparsity,success_rate`` rows.
 
 Trials run serially, in plan order.  Per-trial random streams are derived
 from (master seed, canonical solver id, sparsity, trial index), so the
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -254,15 +257,14 @@ def to_csv(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parameter_sweep(a_grid, p_grid, sparsity: int, plan: ExperimentPlan
-                    ) -> list[tuple[float, float, int, float]]:
-    """Success rate over an (a, p) grid at one fixed sparsity.
+def sweep_specs(a_grid, p_grid, base: Schedule = Schedule()
+                ) -> tuple[SolverSpec, ...]:
+    """The tlp specs of an (a, p) grid, a-major, each with the schedule
+    knobs of ``base``; nothing else of ``base`` is read.
 
-    The grid runs as one plan at ``sparsity`` whose solvers are the grid
-    points, a-major: tlp specs that copy ``plan.solvers[0]``'s schedule.
-    Every spec is built, and so checked, before any trial runs.  Each
-    point runs exactly the trials that ``run_experiment`` runs for its
-    spec, so every row is the success rate of that spec's cell.
+    Run them as the solvers of a plan, whose ``sweep_to_csv`` is then the
+    success rate at each grid point and sparsity.  Every spec is built,
+    and so checked, before any trial runs; an error names the grid.
     """
     grids = []
     for name, grid in (("a_grid", a_grid), ("p_grid", p_grid)):
@@ -276,18 +278,21 @@ def parameter_sweep(a_grid, p_grid, sparsity: int, plan: ExperimentPlan
         grids.append([float(v) for v in grid])
     if not all(grids):
         raise ValueError("grids must be nonempty")
-    points = list(itertools.product(*grids))
-    base = plan.solvers[0]
-    specs = tuple(replace(base, method="tlp", a=a, p=p, label=None)
-                  for a, p in points)
-    result = run_experiment(replace(plan, sparsities=(sparsity,),
-                                    solvers=specs))
-    return [(a, p, sparsity, cell.success_rate)
-            for (a, p), cell in zip(points, result.cells)]
+    knobs = {f.name: getattr(base, f.name) for f in fields(Schedule)}
+    try:
+        return tuple(SolverSpec(method="tlp", a=a, p=p, **knobs)
+                     for a, p in itertools.product(*grids))
+    except ValueError as exc:
+        # the knobs are base's, so only a grid value can fail: "a ..."
+        # or "p ..."
+        name, sep, rest = str(exc).partition(" ")
+        raise ValueError(f"{name}_grid{sep}{rest}") from None
 
 
-def sweep_to_csv(rows) -> str:
+def sweep_to_csv(result: ExperimentResult) -> str:
+    """One ``a,p,sparsity,success_rate`` row per cell of a sweep."""
     lines = [SWEEP_CSV_HEADER]
-    for a, p, sparsity, rate in rows:
-        lines.append(f"{_fmt(a)},{_fmt(p)},{sparsity},{_fmt(rate)}")
+    for cell in result.cells:
+        lines.append(f"{_fmt(cell.spec.a)},{_fmt(cell.spec.p)},"
+                     f"{cell.sparsity},{_fmt(cell.success_rate)}")
     return "\n".join(lines) + "\n"

@@ -13,17 +13,19 @@ File formats
   fields of :class:`~tlpsparse.bench.ExperimentPlan`, with its defaults,
   plus ``kind`` and, in sweep plans only, the sweep keys, whose one
   ``sparsity`` stands in for ``sparsities``; unknown keys are rejected so
-  typos fail loudly.
+  typos fail loudly.  A sweep plan's grid becomes its solvers, so it
+  takes at most one solver entry, which sets schedule knobs only.
 
 Exit codes: 0 solver/tool completed (regardless of convergence status),
-2 usage or input error, 3 dimension mismatch.  Bench runs its trials
-serially.
+2 usage or input error, 3 dimension mismatch.  ``solve`` exits 2 rather
+than write a NaN or infinity.  Bench runs its trials serially.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import MISSING, fields
@@ -35,8 +37,8 @@ from .penalty import PenaltyParams, relaxation_degree
 from .sensing import (gen_dct, gen_gaussian, load_matrix_csv, load_vector,
                       save_matrix_csv)
 # irls_* are not called here; benchmarks/tracing.py wraps them at install
-from .solver import (_check_positive, irls_constrained,  # noqa: F401
-                     irls_lq_baseline, irls_tlp)
+from .solver import (Schedule, _check_positive,  # noqa: F401
+                     irls_constrained, irls_lq_baseline, irls_tlp)
 from .theory import rip_bound, stability_constants
 
 
@@ -55,6 +57,8 @@ _SPEC_KEYS = {_SPELLING.get(f.name, f.name): f
 # solve options (config keys and flags): the spec keys but label; the
 # target sparsity "s" is a solve argument, declared on its own
 _SOLVE_KEYS = {k: f for k, f in _SPEC_KEYS.items() if k != "label"}
+# keys of a sweep plan's solver entry, besides "method": "tlp"
+_KNOB_KEYS = [_SPELLING.get(f.name, f.name) for f in fields(Schedule)]
 
 
 def _reject_unknown(d: dict, allowed, what: str) -> None:
@@ -133,8 +137,20 @@ def cmd_solve(args) -> int:
     payload["rel_err"] = (
         float(np.linalg.norm(result.x - truth) / np.linalg.norm(truth))
         if truth is not None and np.any(truth) else None)
-    _write_text(json.dumps(payload, indent=2) + "\n", args.out)
+    for key, value in payload.items():
+        if not _finite(value):
+            raise ValueError(f"{key} holds a value that is not finite; the "
+                             f"solve broke down at these settings")
+    _write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n",
+                args.out)
     return 0
+
+
+def _finite(value) -> bool:
+    """No NaN or infinity in a float or a (nested) list of them."""
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 # ---------------------------------------------------------------- bench
@@ -147,14 +163,30 @@ def _parse_spec(d: dict, keys=_SPEC_KEYS, what="solver spec"
                        **{keys[k].name: v for k, v in d.items()})
 
 
+def _check_sweep_solvers(specs: list) -> None:
+    """The grid of a sweep plan makes its tlp specs from the schedule
+    knobs of at most one solver entry; any other key would be lost."""
+    if len(specs) > 1:
+        raise ValueError(f"solvers of a sweep plan must hold at most one "
+                         f"entry, got {len(specs)}")
+    for key, value in (specs[0].items() if specs else ()):
+        if key == "method" and value != "tlp":
+            raise ValueError(f"method of a sweep plan must be 'tlp', "
+                             f"got {value!r}")
+        if key not in ("method", *_KNOB_KEYS):
+            raise ValueError(f"{key} cannot be set in a sweep plan, whose "
+                             f"solver entry takes schedule knobs only")
+
+
 def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
-    """Load and validate a plan file; returns (kind, plan, raw dict).
+    """Load and validate a plan file; returns (kind, plan).
 
     The optional arguments override the corresponding plan fields (the
     flag-beats-file rule).  Keys the file omits take the
     ``ExperimentPlan`` defaults.  The sweep keys belong to sweep plans
-    only; a sweep runs at its one ``sparsity`` and takes no
-    ``sparsities``.
+    only.  A sweep runs at its one ``sparsity`` and takes no
+    ``sparsities``; its solvers are ``bench.sweep_specs`` of its grid and
+    its one solver entry, if any, so it runs as any other plan.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -180,28 +212,26 @@ def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
         if not (isinstance(specs, list)
                 and all(isinstance(d, dict) for d in specs)):
             raise ValueError("solvers must be a list of objects")
+        if kind == "sweep":
+            _check_sweep_solvers(specs)
         opts["solvers"] = tuple(_parse_spec(d) for d in specs)
     if kind == "sweep":
         opts["sparsities"] = [raw["sparsity"]]
+        opts["solvers"] = bench_mod.sweep_specs(
+            raw["a_grid"], raw["p_grid"], *opts.get("solvers", ()))
     for f in plan_fields:
         if f.default is MISSING and f.name not in opts:
             raise ValueError(f"plan requires {f.name!r}")
     spelling = {"sparsities": "sparsity"} if kind == "sweep" else {}
     plan = _as_written(spelling, bench_mod.ExperimentPlan, **opts)
-    return kind, plan, raw
+    return kind, plan
 
 
 def cmd_bench(args) -> int:
-    kind, plan, raw = parse_plan_file(args.plan, trials=args.trials,
-                                      seed=args.seed,
-                                      threshold=args.threshold)
-    if kind == "sweep":
-        rows = bench_mod.parameter_sweep(
-            raw["a_grid"], raw["p_grid"], plan.sparsities[0], plan)
-        _write_text(bench_mod.sweep_to_csv(rows), args.out)
-    else:
-        result = bench_mod.run_experiment(plan)
-        _write_text(bench_mod.to_csv(result), args.out)
+    kind, plan = parse_plan_file(args.plan, trials=args.trials,
+                                 seed=args.seed, threshold=args.threshold)
+    to_csv = bench_mod.sweep_to_csv if kind == "sweep" else bench_mod.to_csv
+    _write_text(to_csv(bench_mod.run_experiment(plan)), args.out)
     return 0
 
 

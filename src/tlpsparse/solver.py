@@ -27,7 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields, asdict
 from numbers import Integral, Real
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError, null_space
@@ -73,7 +73,8 @@ class Schedule:
     <= inner_tol gives the fixed tolerance inner_tol.
 
     Every knob must be positive and finite; ``int`` knobs take integers
-    only.
+    only.  eps0 ** kappa, the largest eps^kappa a weight update adds to
+    x^2, must be a finite float too.
     """
 
     lam: float = 1e-6
@@ -91,6 +92,13 @@ class Schedule:
     def __post_init__(self) -> None:
         for f in fields(Schedule):
             _check_positive(f.name, getattr(self, f.name), f.type == "int")
+        try:
+            floor = float(self.eps0) ** self.kappa
+        except OverflowError:
+            floor = math.inf
+        if not math.isfinite(floor):
+            raise ValueError(f"eps0 ** kappa must be a finite float, got "
+                             f"eps0={self.eps0!r}, kappa={self.kappa!r}")
 
 
 def _weights(x: np.ndarray, eps: float, kappa: float,
@@ -344,21 +352,13 @@ def _problem(A, y, s: int) -> tuple[np.ndarray, np.ndarray]:
     return A, y
 
 
-class _Reweighted(NamedTuple):
-    x: np.ndarray
-    w: np.ndarray | None  # weights of the last step; None if none was taken
-    eps: float
-    outer: int
-    status: str
-    eps_trace: list[float]
-    w_inf_trace: list[float]
-
-
-def _reweight(N: int, exponent: float, s: int, cfg: Schedule,
+def _reweight(A: np.ndarray, y: np.ndarray, s: int, cfg: Schedule,
+              exponent: float, name: str,
               step: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
-              stop_on_step: bool = False) -> _Reweighted:
-    """The outer reweighting schedule that all three solvers share, at
-    target sparsity s with the knobs of ``cfg``.
+              stop_on_step: bool = False
+              ) -> tuple[SolveResult, np.ndarray | None]:
+    """The outer reweighting schedule that all three solvers share, on
+    the problem (A, y) at target sparsity s with the knobs of ``cfg``.
 
     Starts from x = 0 with eps = eps0.  Each outer iteration freezes the
     weights w = (x^2 + eps^kappa)^((exponent-2)/2), moves to
@@ -376,8 +376,15 @@ def _reweight(N: int, exponent: float, s: int, cfg: Schedule,
     outer_tol_step max(r_old, 1), tested after the sparsity test.  With
     ``stop_on_step`` the sup-norm step falls below outer_tol_step, tested
     first.
+
+    Returns the ``SolveResult`` named ``name`` with the fields every
+    solver shares filled in: x, outer_iters, final_eps, converged, the
+    residual ||A x - y||, eps_trace and w_inf_trace (one entry per outer
+    iteration, at the eps its weights were frozen at), and
+    total_inner_iters = 0.  The caller sets its own fields.  Also
+    returns the weights of the last step, None if none was taken.
     """
-    x = np.zeros(N)
+    x = np.zeros(A.shape[1])
     w = None
     eps = cfg.eps0
     tail_old = 0.0
@@ -407,7 +414,11 @@ def _reweight(N: int, exponent: float, s: int, cfg: Schedule,
             status = "step_converged"
             break
         tail_old = tail
-    return _Reweighted(x, w, eps, outer, status, eps_trace, w_inf_trace)
+    return SolveResult(
+        solver=name, x=x, outer_iters=outer, total_inner_iters=0,
+        final_eps=eps, converged=status,
+        residual=float(np.linalg.norm(A @ x - y)),
+        eps_trace=eps_trace, w_inf_trace=w_inf_trace), w
 
 
 def irls_tlp(A, y, params: PenaltyParams, s: int,
@@ -430,19 +441,15 @@ def irls_tlp(A, y, params: PenaltyParams, s: int,
                                + 0.5 * (res @ res)))
         return inner.x
 
-    run = _reweight(A.shape[1], params.p, s, cfg, dca_step)
-    grad_inf = float(np.max(np.abs(grad_f_w(
-        A, y, params, cfg.lam, run.w, run.x)))) if run.outer else 0.0
-    return SolveResult(
-        solver=f"tlp(a={params.a:g},p={params.p:g})",
-        x=run.x, outer_iters=run.outer,
-        # an f trace holds the starting value plus one per inner iteration
-        total_inner_iters=sum(len(t) - 1 for t in inner_traces),
-        final_eps=run.eps, converged=run.status,
-        residual=float(np.linalg.norm(A @ run.x - y)),
-        objective_trace=obj_trace, eps_trace=run.eps_trace,
-        w_inf_trace=run.w_inf_trace, inner_f_traces=inner_traces,
-        final_grad_inf=grad_inf)
+    result, w = _reweight(A, y, s, cfg, params.p,
+                          f"tlp(a={params.a:g},p={params.p:g})", dca_step)
+    result.objective_trace = obj_trace
+    result.inner_f_traces = inner_traces
+    # an f trace holds the starting value plus one per inner iteration
+    result.total_inner_iters = sum(len(t) - 1 for t in inner_traces)
+    result.final_grad_inf = 0.0 if w is None else float(np.max(np.abs(
+        grad_f_w(A, y, params, cfg.lam, w, result.x))))
+    return result
 
 
 def j_closed_form(params: PenaltyParams, x: np.ndarray, eps: float,
@@ -527,7 +534,9 @@ def irls_constrained(A, y, params: PenaltyParams, s: int,
     never increase.
 
     ``objective_trace`` records the penalty value per outer iterate and
-    ``j_trace`` the matched surrogate value; both include the final point.
+    ``j_trace`` the matched surrogate value; both include the final point,
+    and so does ``eps_trace``, which holds one entry more than
+    ``w_inf_trace``.
     """
     A, y = _problem(A, y, s)
     a, p = params.a, params.p
@@ -548,16 +557,14 @@ def irls_constrained(A, y, params: PenaltyParams, s: int,
         cands = [frozen] if len(j_trace) == 1 else [frozen, x]
         return _feasible_minimizer(A, y, params, omega, eps, cfg.kappa, cands)
 
-    run = _reweight(A.shape[1], p, s, cfg, ls_step, stop_on_step=True)
-    j_trace.append(j_closed_form(params, run.x, run.eps, cfg.kappa))
-    pen_trace.append(penalty_tlp(params, run.x))
-    return SolveResult(
-        solver=f"constrained(a={a:g},p={p:g})",
-        x=run.x, outer_iters=run.outer, total_inner_iters=0,
-        final_eps=run.eps, converged=run.status,
-        residual=float(np.linalg.norm(A @ run.x - y)),
-        objective_trace=pen_trace, j_trace=j_trace,
-        eps_trace=run.eps_trace + [run.eps])
+    result, _ = _reweight(A, y, s, cfg, p, f"constrained(a={a:g},p={p:g})",
+                          ls_step, stop_on_step=True)
+    j_trace.append(j_closed_form(params, result.x, result.final_eps,
+                                 cfg.kappa))
+    pen_trace.append(penalty_tlp(params, result.x))
+    result.objective_trace, result.j_trace = pen_trace, j_trace
+    result.eps_trace.append(result.final_eps)
+    return result
 
 
 def irls_lq_baseline(A, y, q: float, s: int,
@@ -582,11 +589,7 @@ def irls_lq_baseline(A, y, q: float, s: int,
         obj_trace.append(float(cfg.lam * penalty_lp(q, x) + 0.5 * (res @ res)))
         return x
 
-    run = _reweight(A.shape[1], q, s, cfg, ridge_step)
-    return SolveResult(
-        solver=f"lq(q={q:g})",
-        x=run.x, outer_iters=run.outer, total_inner_iters=run.outer,
-        final_eps=run.eps, converged=run.status,
-        residual=float(np.linalg.norm(A @ run.x - y)),
-        objective_trace=obj_trace, eps_trace=run.eps_trace,
-        w_inf_trace=run.w_inf_trace)
+    result, _ = _reweight(A, y, s, cfg, q, f"lq(q={q:g})", ridge_step)
+    result.objective_trace = obj_trace
+    result.total_inner_iters = result.outer_iters
+    return result

@@ -1,12 +1,15 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import tlpsparse.bench as bench
 from tlpsparse.bench import (CSV_HEADER, ExperimentPlan, SolverSpec,
-                             parameter_sweep, run_experiment, run_trial,
+                             run_experiment, run_trial, sweep_specs,
                              sweep_to_csv, to_csv)
+from tlpsparse.solver import Schedule
 
 
 def tiny_plan(**over):
@@ -16,6 +19,18 @@ def tiny_plan(**over):
                 master_seed=7, timing=False)
     base.update(over)
     return ExperimentPlan(**base)
+
+
+def run_sweep(a_grid, p_grid, sparsity, plan):
+    """The (a, p) grid as the solvers of ``plan`` at one sparsity."""
+    specs = sweep_specs(a_grid, p_grid, plan.solvers[0])
+    return run_experiment(replace(plan, sparsities=(sparsity,),
+                                  solvers=specs))
+
+
+def sweep_rows(a_grid, p_grid, sparsity, plan):
+    return [(c.spec.a, c.spec.p, c.sparsity, c.success_rate)
+            for c in run_sweep(a_grid, p_grid, sparsity, plan).cells]
 
 
 class TestPlanValidation:
@@ -44,14 +59,14 @@ class TestPlanValidation:
         ([1.0], ["0.7"], "p_grid must be a number, got '0.7'")])
     def test_rejects_coercible_grid_values(self, a_grid, p_grid, named):
         with pytest.raises(ValueError, match=named):
-            parameter_sweep(a_grid, p_grid, 1, tiny_plan())
+            sweep_rows(a_grid, p_grid, 1, tiny_plan())
 
     def test_integral_floats_accepted(self):
         plan = tiny_plan(family="dct", param=1, threshold=1, sparsities=(1,),
                          trials=1)
         assert to_csv(run_experiment(plan)).splitlines()[1].split(",")[7] \
             == "1.0"
-        assert parameter_sweep([1], [1], 1, plan)[0][:2] == (1.0, 1.0)
+        assert sweep_rows([1], [1], 1, plan)[0][:2] == (1.0, 1.0)
 
     def test_rejects_sparsity_at_or_above_n(self):
         with pytest.raises(ValueError, match="below N=32"):
@@ -77,14 +92,14 @@ class TestPlanValidation:
     def test_rejects_scalar_grid(self):
         with pytest.raises(ValueError,
                            match="a_grid must be a list of numbers"):
-            parameter_sweep(1.0, [0.7], 1, tiny_plan())
+            sweep_rows(1.0, [0.7], 1, tiny_plan())
 
     def test_bad_grid_point_fails_before_any_trial(self, monkeypatch):
         calls = []
         monkeypatch.setattr(bench, "run_trial",
                             lambda *args: calls.append(args))
         with pytest.raises(ValueError):
-            parameter_sweep([1.0, -1.0], [0.7], 1, tiny_plan())
+            sweep_rows([1.0, -1.0], [0.7], 1, tiny_plan())
         assert calls == []
 
 
@@ -168,7 +183,7 @@ class TestRunExperiment:
 class TestSweep:
     def test_degenerate_grid_matches_experiment_cell(self):
         plan = tiny_plan(sparsities=(2,), trials=4)
-        rows = parameter_sweep([1.0], [0.7], 2, plan)
+        rows = sweep_rows([1.0], [0.7], 2, plan)
         cell = run_experiment(plan).cells[0]
         assert rows == [(1.0, 0.7, 2, cell.success_rate)]
 
@@ -178,28 +193,46 @@ class TestSweep:
         specs = tuple(SolverSpec(method="tlp", a=a, p=p) for a, p in points)
         cells = run_experiment(tiny_plan(sparsities=(6,), trials=4,
                                          solvers=specs)).cells
-        rows = parameter_sweep([0.1, 3.0], [0.3, 1.0], 6, plan)
+        rows = sweep_rows([0.1, 3.0], [0.3, 1.0], 6, plan)
         assert rows == [(a, p, 6, c.success_rate)
                         for (a, p), c in zip(points, cells)]
         assert len({r[3] for r in rows}) > 1  # the grid points differ
 
     def test_deterministic(self):
         plan = tiny_plan(trials=2)
-        rows1 = parameter_sweep([0.5, 1.0], [0.5, 1.0], 2, plan)
-        rows2 = parameter_sweep([0.5, 1.0], [0.5, 1.0], 2, plan)
+        rows1 = sweep_rows([0.5, 1.0], [0.5, 1.0], 2, plan)
+        rows2 = sweep_rows([0.5, 1.0], [0.5, 1.0], 2, plan)
         assert rows1 == rows2
 
     def test_csv_shape(self):
         plan = tiny_plan(trials=2)
-        rows = parameter_sweep([1.0], [0.5, 0.9], 2, plan)
-        text = sweep_to_csv(rows)
+        text = sweep_to_csv(run_sweep([1.0], [0.5, 0.9], 2, plan))
         lines = text.splitlines()
         assert lines[0] == "a,p,sparsity,success_rate"
         assert len(lines) == 3
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            parameter_sweep([], [0.5], 2, tiny_plan())
+            sweep_rows([], [0.5], 2, tiny_plan())
+
+    @pytest.mark.parametrize("a_grid, p_grid, named", [
+        ([1.0, -1.0], [0.7], "a_grid must be positive"),
+        ([1.0], [0.7, 1.5], "p_grid must lie in (0, 1]"),
+        ([math.inf], [0.7], "a_grid must be positive"),
+        ([1.0], [math.nan], "p_grid must lie in (0, 1]")])
+    def test_range_error_names_the_grid(self, a_grid, p_grid, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            sweep_specs(a_grid, p_grid)
+
+    def test_specs_take_the_schedule_knobs_only(self):
+        base = SolverSpec(method="lq", q=0.3, label="x", kappa=2.0,
+                          inner_max=7)
+        specs = sweep_specs([0.5, 2.0], [0.7], base)
+        assert specs == (
+            SolverSpec(method="tlp", a=0.5, p=0.7, kappa=2.0, inner_max=7),
+            SolverSpec(method="tlp", a=2.0, p=0.7, kappa=2.0, inner_max=7))
+        assert sweep_specs([1.0], [1.0], Schedule(kappa=2.0)) == (
+            SolverSpec(method="tlp", a=1.0, p=1.0, kappa=2.0),)
 
 
 class TestCsvFormat:

@@ -5,16 +5,20 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tlpsparse
+from tlpsparse.bench import METHODS
 from tlpsparse.cli import main
-from tlpsparse.sensing import load_matrix_csv, save_matrix_csv
+from tlpsparse.sensing import (gen_gaussian, gen_signal, load_matrix_csv,
+                               save_matrix_csv)
+from tlpsparse.solver import Schedule
 
 
 def write_vector(path, values):
@@ -279,10 +283,11 @@ class TestSolve:
 
 class TestBench:
     def plan_dict(self):
+        # tlp at the spec defaults a = 1, p = 0.7, which a sweep plan's
+        # entry may not set
         return {"family": "gaussian", "M": 16, "N": 32, "param": 0.0,
                 "sparsities": [1, 2], "trials": 2, "master_seed": 5,
-                "timing": False,
-                "solvers": [{"method": "tlp", "a": 1.0, "p": 0.7}]}
+                "timing": False, "solvers": [{"method": "tlp"}]}
 
     def test_plan_round_trip_identical(self, tmp_path):
         plan = tmp_path / "plan.json"
@@ -361,6 +366,64 @@ class TestBench:
         assert main(["bench", "--plan", str(plan)]) == 2
         assert "a_grid must be a list of numbers" in capsys.readouterr().err
 
+    def sweep_dict(self):
+        d = {**self.plan_dict(), "kind": "sweep", "a_grid": [1.0],
+             "p_grid": [0.7], "sparsity": 1}
+        d.pop("sparsities")
+        return d
+
+    @pytest.mark.parametrize("solvers, named", [
+        ([{"method": "tlp"}, {"method": "tlp", "kappa": 2.0}],
+         "solvers of a sweep plan must hold at most one entry, got 2"),
+        ([{"method": "lq"}], "method of a sweep plan must be 'tlp', got 'lq'"),
+        ([{"a": 2.0}], "a cannot be set in a sweep plan"),
+        ([{"method": "tlp", "p": 0.5}], "p cannot be set in a sweep plan"),
+        ([{"q": 0.5}], "q cannot be set in a sweep plan"),
+        ([{"label": "x"}], "label cannot be set in a sweep plan")])
+    def test_sweep_solver_entry_sets_schedule_knobs_only(
+            self, tmp_path, capsys, solvers, named):
+        # the grid makes the sweep's tlp specs; nothing is dropped silently
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({**self.sweep_dict(), "solvers": solvers}))
+        assert main(["bench", "--plan", str(plan)]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, named", [
+        ({"a_grid": [1.0, -2.0]}, "error: a_grid must be positive\n"),
+        ({"p_grid": [0.7, 1.5]}, "error: p_grid must lie in (0, 1]\n")])
+    def test_sweep_grid_range_error_names_the_grid(self, tmp_path, capsys,
+                                                   grid, named):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({**self.sweep_dict(), **grid}))
+        assert main(["bench", "--plan", str(plan)]) == 2
+        assert capsys.readouterr().err == named
+
+    def test_sweep_plan_solvers_are_its_grid(self):
+        from tlpsparse.bench import SolverSpec, sweep_specs
+        from tlpsparse.cli import parse_plan_file
+        path = Path(__file__).resolve().parent.parent / "plans" / \
+            "heat_sweep_s24.json"
+        raw = json.loads(path.read_text())
+        kind, plan = parse_plan_file(str(path))
+        assert (kind, plan.sparsities) == ("sweep", (24,))
+        assert plan.solvers == sweep_specs(raw["a_grid"], raw["p_grid"],
+                                           SolverSpec(kappa=3.0, lam=1e-6))
+        assert len(plan.solvers) == 50
+
+    def test_overflowing_eps0_fails_before_any_trial(self, tmp_path, capsys,
+                                                     monkeypatch):
+        import tlpsparse.bench as bench
+        calls = []
+        monkeypatch.setattr(bench, "run_trial",
+                            lambda *args: calls.append(args))
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({**self.plan_dict(), "solvers": [
+            {"method": "lq", "eps0": 1e200, "kappa": 2.0}]}))
+        assert main(["bench", "--plan", str(plan)]) == 2
+        assert "error: eps0 ** kappa must be a finite float" in \
+            capsys.readouterr().err
+        assert calls == []
+
     def test_sweep_plan_rejects_sparsities(self, tmp_path, capsys):
         # a sweep runs at its one sparsity; a sparsities list is not used
         d = {**self.plan_dict(), "kind": "sweep", "a_grid": [1.0],
@@ -407,7 +470,7 @@ class TestBench:
         files = sorted(plan_dir.glob("*.json"))
         assert files, "shipped plan files are missing"
         for path in files:
-            kind, plan, raw = parse_plan_file(str(path))
+            kind, plan = parse_plan_file(str(path))
             assert kind in ("success_rate", "sweep")
             assert plan.trials >= 1
 
@@ -585,6 +648,66 @@ class TestTheoryCommandsNeverCrash:
     def test_rd(self, kind, a, p, N):
         self.check(["rd", f"--kind={kind}", f"--a={a!r}", f"--p={p!r}",
                     f"--N={N}"])
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and infinities, as RFC 8259 does."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+# solve's float flags: the float knobs and the penalty parameters
+FLOAT_FLAGS = [("lambda" if f.name == "lam" else f.name).replace("_", "-")
+               for f in fields(Schedule) if f.type == "float"] + \
+    ["a", "p", "q"]
+
+
+class TestSolveNeverCrashes:
+    """solve exits 0 with strict JSON, or exits 2 with a message and no
+    output, for any float flags (nan, inf and subnormals included)."""
+
+    @pytest.fixture(scope="class")
+    def problem(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("fuzz")
+        save_matrix_csv(gen_gaussian(6, 12, 0.0, seed=61), str(d / "A.csv"))
+        write_vector(d / "x0.txt",
+                     gen_signal(12, 2, seed=62).vector.tolist())
+        return ["solve", f"--matrix={d / 'A.csv'}", f"--truth={d / 'x0.txt'}",
+                "--s=2"]
+
+    def test_overflowing_eps0_exit_2(self, problem):
+        code, out, err = run_main(problem + ["--eps0=1e300"])
+        assert (code, out) == (2, "")
+        assert "eps0=1e+300, kappa=3.0" in err
+
+    def test_nan_exit_2_and_no_out_file(self, problem, tmp_path):
+        # a^3 underflows, and grad_phi_w divides 0 by 0 at x_i = 0
+        out = tmp_path / "o.json"
+        code, _, err = run_main(problem + ["--a=1e-300", "--outer-max=5",
+                                           f"--out={out}"])
+        assert code == 2
+        assert err.startswith("error: x holds a value that is not finite")
+        assert not out.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(method=st.sampled_from(METHODS),
+           flags=st.dictionaries(st.sampled_from(FLOAT_FLAGS), st.floats(),
+                                 max_size=3),
+           inner_max=st.integers(1, 5), outer_max=st.integers(1, 5))
+    @example(method="tlp", flags={"eps0": 1e300}, inner_max=1, outer_max=1)
+    @example(method="tlp", flags={"a": 1e-300}, inner_max=1, outer_max=1)
+    def test_solve(self, problem, method, flags, inner_max, outer_max):
+        argv = problem + [f"--method={method}", f"--inner-max={inner_max}",
+                          f"--outer-max={outer_max}"]
+        argv += [f"--{flag}={v!r}" for flag, v in flags.items()]
+        code, out, err = run_main(argv)
+        assert code in (0, 2), (argv, code, err)
+        if code == 2:
+            assert out == "" and err.startswith("error: "), (argv, err)
+            assert len(err) > len("error: \n"), argv
+        else:
+            assert strict_json(out)["outer_iters"] <= outer_max, argv
 
 
 class TestGenMatrix:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -339,18 +341,24 @@ class TestIrlsTlp:
         if res.converged == "sparsity_reached":
             assert tail_magnitude(res.x, 10) < cfg.outer_tol_mag
 
-    def test_eps_monotone_and_weight_bound(self):
+    @pytest.mark.parametrize("method", SOLVERS)
+    def test_eps_monotone_and_weight_bound(self, method):
+        # every solver reports ||w||_inf of each outer step, capped at the
+        # eps that step's weights were frozen at
         A = gen_gaussian(32, 64, 0.0, seed=3)
         truth = gen_signal(64, 5, seed=4)
         y = A.entries @ truth.vector
-        params = PenaltyParams(1.0, 0.7)
+        exponent = 0.5 if method == "lq" else 0.7
         cfg = Schedule()
-        res = irls_tlp(A, y, params, 5, cfg)
+        res = SOLVERS[method](A, y, 5)
         eps = np.array(res.eps_trace)
         assert np.all(np.diff(eps) <= 0.0)
         assert res.final_eps <= eps[-1]
-        w_bound = eps ** (-cfg.kappa * (2.0 - params.p) / 2.0)
-        assert np.all(np.array(res.w_inf_trace) <= w_bound * (1 + 1e-12))
+        w_inf = np.array(res.w_inf_trace)
+        assert w_inf.size == res.outer_iters
+        w_bound = eps[:res.outer_iters] ** (-cfg.kappa * (2.0 - exponent)
+                                            / 2.0)
+        assert np.all(w_inf <= w_bound * (1 + 1e-12))
 
     def test_inner_descent_recorded(self):
         A = gen_gaussian(32, 64, 0.0, seed=31)
@@ -406,8 +414,8 @@ def fixed_tol_tlp(A, y, params, s, cfg):
                          + 0.5 * (r.residual @ r.residual)))
         return r.x
 
-    run = _reweight(A.shape[1], params.p, s, cfg, step)
-    grad_inf = float(np.max(np.abs(grad_f_w(A, y, params, cfg.lam, run.w,
+    run, w = _reweight(A, y, s, cfg, params.p, "fixed_tol", step)
+    grad_inf = float(np.max(np.abs(grad_f_w(A, y, params, cfg.lam, w,
                                             run.x))))
     return run, obj, inner, grad_inf
 
@@ -435,10 +443,10 @@ class TestInnerTolEps:
         for t_got, t_ref in zip(got.inner_f_traces, inner):
             assert np.array_equal(t_got, t_ref)
         assert got.final_grad_inf == grad_inf
-        assert got.final_eps == run.eps
-        assert got.outer_iters == run.outer
+        assert got.final_eps == run.final_eps
+        assert got.outer_iters == run.outer_iters
         assert got.total_inner_iters == sum(len(t) - 1 for t in inner)
-        assert got.converged == run.status
+        assert got.converged == run.converged
         assert np.linalg.norm(got.x - x0) < 1e-3 * np.linalg.norm(x0)
 
     @pytest.mark.parametrize("s, seed, recovered, default, fixed", [
@@ -572,6 +580,16 @@ class TestIrlsLq:
 
 
 class TestConfigValidation:
+    def test_eps0_power_must_be_a_finite_float(self):
+        # the first weight update adds eps0 ** kappa to x^2
+        for knobs, got in [({"eps0": 1e300}, "eps0=1e+300, kappa=3.0"),
+                           ({"eps0": 1e100, "kappa": 4.0},
+                            "eps0=1e+100, kappa=4.0")]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"eps0 ** kappa must be a finite float, got {got}")):
+                Schedule(**knobs)
+        assert Schedule(eps0=1e100).eps0 == 1e100  # 1e300 is finite
+
     def test_positive_fields(self):
         for solve in SOLVERS.values():
             with pytest.raises(ValueError, match="^s must be positive"):
@@ -604,13 +622,18 @@ class TestReweight:
     def alternate(self, x, w, eps):
         return self.V if np.array_equal(x, self.U) else self.U
 
+    @staticmethod
+    def reweight(cfg, step, stop_on_step=False):
+        return _reweight(np.eye(4), np.zeros(4), 1, cfg, 0.7, "fake", step,
+                         stop_on_step)[0]
+
     def test_alternating_step_with_equal_tails(self):
         cfg = Schedule(outer_max=7)
-        run = _reweight(4, 0.7, 1, cfg, self.alternate)
-        assert (run.outer, run.status) == (2, "step_converged")
+        run = self.reweight(cfg, self.alternate)
+        assert (run.outer_iters, run.converged) == (2, "step_converged")
         assert run.eps_trace == [1.0, 0.5]
-        run = _reweight(4, 0.7, 1, cfg, self.alternate, stop_on_step=True)
-        assert (run.outer, run.status) == (7, "max_iters")
+        run = self.reweight(cfg, self.alternate, stop_on_step=True)
+        assert (run.outer_iters, run.converged) == (7, "max_iters")
 
     def test_step_that_stays_at_zero(self):
         def stay(x, w, eps):
@@ -618,13 +641,13 @@ class TestReweight:
             return x.copy()
 
         cfg = Schedule()
-        run = _reweight(4, 0.7, 1, cfg, stay)
-        assert (run.outer, run.status) == (1, "sparsity_reached")
-        run = _reweight(4, 0.7, 1, cfg, stay, stop_on_step=True)
-        assert (run.outer, run.status) == (1, "step_converged")
+        run = self.reweight(cfg, stay)
+        assert (run.outer_iters, run.converged) == (1, "sparsity_reached")
+        run = self.reweight(cfg, stay, stop_on_step=True)
+        assert (run.outer_iters, run.converged) == (1, "step_converged")
 
     def test_eps_underflow_freezes_at_start(self):
         cfg = Schedule(eps0=1e-120)  # eps0^3 underflows to 0
-        run = _reweight(4, 0.7, 1, cfg, self.alternate)
-        assert (run.outer, run.status) == (0, "sparsity_reached")
+        run = self.reweight(cfg, self.alternate)
+        assert (run.outer_iters, run.converged) == (0, "sparsity_reached")
         assert np.array_equal(run.x, np.zeros(4)) and run.eps_trace == []
