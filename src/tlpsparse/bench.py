@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .penalty import PenaltyParams
+from .penalty import PenaltyParams, _finite_number
 from .sensing import derive_seed, gen_dct, gen_gaussian, gen_signal
 from .solver import (Schedule, _check_number, _check_positive,
                      irls_constrained, irls_lq_baseline, irls_tlp)
@@ -108,7 +108,7 @@ class ExperimentPlan:
         _check_number("param", self.param, integral=False)
         # the generators' own ranges, checked here to name the plan key
         if self.family == "dct" and not (self.param > 0
-                                         and math.isfinite(self.param)):
+                                         and _finite_number(self.param)):
             raise ValueError(f"param must be positive and finite for "
                              f"family dct, got {self.param!r}")
         if self.family == "gaussian" and not 0 <= self.param < 1:
@@ -275,7 +275,10 @@ def sweep_specs(a_grid, p_grid, base: Schedule = Schedule()
                              f"got {grid!r}") from None
         for v in grid:
             _check_number(name, v, integral=False)
-        grids.append([float(v) for v in grid])
+        try:
+            grids.append([float(v) for v in grid])
+        except OverflowError:  # an integer too large for a float
+            raise ValueError(f"{name} must be finite") from None
     if not all(grids):
         raise ValueError("grids must be nonempty")
     knobs = {f.name: getattr(base, f.name) for f in fields(Schedule)}

@@ -20,6 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _finite_number(value) -> bool:
+    """math.isfinite, with an integer too large for a float not finite
+    rather than an OverflowError."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class PenaltyParams:
     """Shape parameters of the transformed-lp kernel.
@@ -32,7 +41,7 @@ class PenaltyParams:
     p: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0 and math.isfinite(self.a)):
+        if not (self.a > 0 and _finite_number(self.a)):
             raise ValueError("a must be positive")
         if not (0 < self.p <= 1):
             raise ValueError("p must lie in (0, 1]")

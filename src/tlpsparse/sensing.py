@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -98,17 +99,32 @@ class SparseSignal:
         return int(self.support.size)
 
 
+@contextmanager
+def _allocating(M: int, N: int):
+    """The block that builds an M x N matrix, for positive M and N.  A
+    matrix too large to allocate raises a ValueError naming M and N
+    instead of numpy's MemoryError."""
+    if M < 1 or N < 1:
+        raise ValueError("M and N must be positive")
+    try:
+        if int(M) * int(N) > np.iinfo(np.intp).max // 8:
+            raise MemoryError  # more bytes than numpy can index
+        yield
+    except MemoryError:
+        raise ValueError(f"an M x N matrix of floats does not fit in "
+                         f"memory at M={M}, N={N}") from None
+
+
 def gen_gaussian(M: int, N: int, r: float, seed: int) -> SensingMatrix:
     """Rows i.i.d. from N(0, (1-r) I + r J); r = 0 is the classic i.i.d.
     case."""
     if not (0.0 <= r < 1.0):
         raise ValueError("correlation r must lie in [0, 1)")
-    if M < 1 or N < 1:
-        raise ValueError("M and N must be positive")
-    rng = _rng(seed)
-    z = rng.standard_normal((M, N))
-    g = rng.standard_normal((M, 1))
-    return SensingMatrix(entries=np.sqrt(1.0 - r) * z + np.sqrt(r) * g)
+    with _allocating(M, N):
+        rng = _rng(seed)
+        z = rng.standard_normal((M, N))
+        g = rng.standard_normal((M, 1))
+        return SensingMatrix(entries=np.sqrt(1.0 - r) * z + np.sqrt(r) * g)
 
 
 def gen_dct(M: int, N: int, F: float, seed: int) -> SensingMatrix:
@@ -116,13 +132,16 @@ def gen_dct(M: int, N: int, F: float, seed: int) -> SensingMatrix:
     if not (F > 0 and math.isfinite(F)):
         raise ValueError(f"frequency parameter F must be positive and "
                          f"finite, got {F!r}")
-    if M < 1 or N < 1:
-        raise ValueError("M and N must be positive")
-    rng = _rng(seed)
-    w = rng.random(M)
-    idx = np.arange(N)
-    entries = np.cos(2.0 * np.pi * np.outer(w, idx) / F) / np.sqrt(M)
-    return SensingMatrix(entries=entries)
+    with _allocating(M, N):
+        # the phases 2 pi i w / F, i < N and w < 1, must stay finite
+        if not math.isfinite(2.0 * math.pi * (N - 1) / F):
+            raise ValueError(f"frequency parameter F is too small for "
+                             f"N={N}: the phases overflow, got {F!r}")
+        rng = _rng(seed)
+        w = rng.random(M)
+        idx = np.arange(N)
+        entries = np.cos(2.0 * np.pi * np.outer(w, idx) / F) / np.sqrt(M)
+        return SensingMatrix(entries=entries)
 
 
 def coherence(A: SensingMatrix | np.ndarray) -> float:

@@ -34,7 +34,7 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError, null_space
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrs
 
-from .penalty import PenaltyParams, penalty_tlp, penalty_lp
+from .penalty import PenaltyParams, _finite_number, penalty_tlp, penalty_lp
 from .sensing import _as_array
 
 
@@ -48,7 +48,7 @@ def _check_number(name: str, value, integral: bool) -> None:
 
 def _check_positive(name: str, value, integral: bool) -> None:
     _check_number(name, value, integral)
-    if not (value > 0 and math.isfinite(value)):
+    if not (value > 0 and _finite_number(value)):
         raise ValueError(f"{name} must be positive and finite")
 
 
@@ -116,7 +116,8 @@ class SolveResult:
     constrained one); ``j_trace`` is only filled by the constrained
     solver and holds the surrogate functional at matched weights.
     ``converged`` is one of ``sparsity_reached``, ``step_converged``,
-    ``max_iters``.
+    ``max_iters``, or ``not_finite`` when the run stopped at the first
+    iterate holding a NaN or an infinity (x is that iterate).
     """
 
     solver: str
@@ -250,8 +251,7 @@ class _SpdSolver:
     keeps the backward error near machine precision there, at the same
     cost.  G is I plus a PSD matrix, so it is never singular.  For an
     M x N matrix, forming G takes M^2 N flops and factoring it M^3/3, also
-    when M >= N.  After each ``solve`` the attribute ``residual`` holds
-    y - A x, the dual's r.
+    when M >= N.  ``solve`` returns x and the dual's r = y - A x.
     """
 
     def __init__(self, A: np.ndarray, d: np.ndarray,
@@ -263,7 +263,7 @@ class _SpdSolver:
         G[np.diag_indices_from(G)] += 1.0
         self._factor = _cho_factor_spd(G)
 
-    def solve(self, v: np.ndarray) -> np.ndarray:
+    def solve(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # LAPACK's potrs on the stored factor, as cho_solve would call it,
         # without the wrapper's per-call checks
         c, lower = self._factor
@@ -271,8 +271,7 @@ class _SpdSolver:
                          lower=lower, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of dpotrs")
-        self.residual = r
-        return self._dinv * (v + self._A.T @ r)
+        return self._dinv * (v + self._A.T @ r), r
 
 
 def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
@@ -320,10 +319,9 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
     for _ in range(cfg.inner_max):
         grad = w * np.sign(x) * ax ** p1 * (p2_a + 2.0 * axp) \
             / (a * (a + axp) ** 2)
-        x_new = solver.solve(lam_a1 * grad + two_c * x)
+        x_new, res = solver.solve(lam_a1 * grad + two_c * x)
         step = float(np.max(np.abs(x_new - x)))
         x = x_new
-        res = solver.residual
         iters += 1
         ax = np.abs(x)
         axp = ax ** p
@@ -354,7 +352,8 @@ def _problem(A, y, s: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _reweight(A: np.ndarray, y: np.ndarray, s: int, cfg: Schedule,
               exponent: float, name: str,
-              step: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
+              step: Callable[[np.ndarray, np.ndarray, float],
+                             tuple[np.ndarray, float, int]],
               stop_on_step: bool = False
               ) -> tuple[SolveResult, np.ndarray | None]:
     """The outer reweighting schedule that all three solvers share, on
@@ -367,11 +366,14 @@ def _reweight(A: np.ndarray, y: np.ndarray, s: int, cfg: Schedule,
     Fornasier and Güntürk, CPAM 2010; Lai, Xu and Yin, SINUM 2013).  This
     caps the weights (||w||_inf <= eps^(-kappa(2-exponent)/2)) and anneals
     the surrogate toward the true penalty.  If eps^kappa reaches exactly
-    zero the iterate is frozen.
+    zero the iterate is frozen.  A step returns ``(x_new, objective,
+    inner_iters)``: the new iterate, the solver's objective at a point of
+    its choosing, and the inner iterations it ran.
 
-    Statuses: ``sparsity_reached`` when r(x)_{s+1} < outer_tol_mag (or eps
-    froze), ``step_converged`` when the iteration stalls, ``max_iters`` at
-    outer_max.  The stall test is the one deliberate difference between
+    Statuses: ``not_finite`` as soon as a step returns an x holding a NaN
+    or an infinity, ``sparsity_reached`` when r(x)_{s+1} < outer_tol_mag
+    (or eps froze), ``step_converged`` when the iteration stalls,
+    ``max_iters`` at outer_max.  The stall test is the one deliberate difference between
     the solvers.  By default the tail magnitude stagnates, |r - r_old| <
     outer_tol_step max(r_old, 1), tested after the sparsity test.  With
     ``stop_on_step`` the sup-norm step falls below outer_tol_step, tested
@@ -379,17 +381,19 @@ def _reweight(A: np.ndarray, y: np.ndarray, s: int, cfg: Schedule,
 
     Returns the ``SolveResult`` named ``name`` with the fields every
     solver shares filled in: x, outer_iters, final_eps, converged, the
-    residual ||A x - y||, eps_trace and w_inf_trace (one entry per outer
-    iteration, at the eps its weights were frozen at), and
-    total_inner_iters = 0.  The caller sets its own fields.  Also
-    returns the weights of the last step, None if none was taken.
+    residual ||A x - y||, total_inner_iters (the steps' counts summed),
+    and objective_trace, eps_trace and w_inf_trace (one entry per outer
+    iteration; the last two at the eps its weights were frozen at).  The
+    caller sets its own fields.  Also returns the weights of the last
+    step, None if none was taken.
     """
     x = np.zeros(A.shape[1])
     w = None
     eps = cfg.eps0
     tail_old = 0.0
     status = "max_iters"
-    outer = 0
+    inner = 0
+    obj_trace: list[float] = []
     eps_trace: list[float] = []
     w_inf_trace: list[float] = []
     for _ in range(cfg.outer_max):
@@ -399,8 +403,13 @@ def _reweight(A: np.ndarray, y: np.ndarray, s: int, cfg: Schedule,
         eps_trace.append(eps)
         w = _weights(x, eps, cfg.kappa, exponent)
         w_inf_trace.append(float(np.max(w)))
-        x_old, x = x, step(x, w, eps)
-        outer += 1
+        x_old = x
+        x, obj, n = step(x, w, eps)
+        obj_trace.append(obj)
+        inner += n
+        if not np.isfinite(x).all():
+            status = "not_finite"
+            break
         tail = tail_magnitude(x, s)
         eps = min(eps, tail / cfg.delta_scale)
         if stop_on_step and np.max(np.abs(x - x_old)) < cfg.outer_tol_step:
@@ -415,9 +424,9 @@ def _reweight(A: np.ndarray, y: np.ndarray, s: int, cfg: Schedule,
             break
         tail_old = tail
     return SolveResult(
-        solver=name, x=x, outer_iters=outer, total_inner_iters=0,
-        final_eps=eps, converged=status,
-        residual=float(np.linalg.norm(A @ x - y)),
+        solver=name, x=x, outer_iters=len(eps_trace),
+        total_inner_iters=inner, final_eps=eps, converged=status,
+        residual=float(np.linalg.norm(A @ x - y)), objective_trace=obj_trace,
         eps_trace=eps_trace, w_inf_trace=w_inf_trace), w
 
 
@@ -429,7 +438,6 @@ def irls_tlp(A, y, params: PenaltyParams, s: int,
     to the eps-tied tolerance max(inner_tol, inner_tol_eps * min(eps, 1)).
     """
     A, y = _problem(A, y, s)
-    obj_trace: list[float] = []
     inner_traces: list[list[float]] = []
 
     def dca_step(x, w, eps):
@@ -437,16 +445,12 @@ def irls_tlp(A, y, params: PenaltyParams, s: int,
         inner = dca_subproblem(A, y, params, w, cfg, tol=tol)
         inner_traces.append(inner.f_trace.tolist())
         res = inner.residual
-        obj_trace.append(float(cfg.lam * penalty_tlp(params, inner.x)
-                               + 0.5 * (res @ res)))
-        return inner.x
+        return inner.x, float(cfg.lam * penalty_tlp(params, inner.x)
+                              + 0.5 * (res @ res)), inner.iters
 
     result, w = _reweight(A, y, s, cfg, params.p,
                           f"tlp(a={params.a:g},p={params.p:g})", dca_step)
-    result.objective_trace = obj_trace
     result.inner_f_traces = inner_traces
-    # an f trace holds the starting value plus one per inner iteration
-    result.total_inner_iters = sum(len(t) - 1 for t in inner_traces)
     result.final_grad_inf = 0.0 if w is None else float(np.max(np.abs(
         grad_f_w(A, y, params, cfg.lam, w, result.x))))
     return result
@@ -541,28 +545,28 @@ def irls_constrained(A, y, params: PenaltyParams, s: int,
     A, y = _problem(A, y, s)
     a, p = params.a, params.p
     j_trace: list[float] = []
-    pen_trace: list[float] = []
 
     def ls_step(x, w, eps):
         j_trace.append(j_closed_form(params, x, eps, cfg.kappa))
-        pen_trace.append(penalty_tlp(params, x))
         # hat-w = (a+1) w / (a + |x|^p), frozen at the current iterate
-        frozen = _constrained_ls(A, y, (a + np.abs(x) ** p) / ((a + 1.0) * w))
-        if not exact_update:
-            return frozen
-        # the minimizing weights of the surrogate at x; w is the driver's
-        # (x^2 + eps^kappa)^((p-2)/2)
-        omega = w * (a + np.abs(x) ** p) ** (2.0 / p - 1.0)
-        # the zero start is not a candidate on the first step
-        cands = [frozen] if len(j_trace) == 1 else [frozen, x]
-        return _feasible_minimizer(A, y, params, omega, eps, cfg.kappa, cands)
+        x_new = _constrained_ls(A, y, (a + np.abs(x) ** p) / ((a + 1.0) * w))
+        if exact_update:
+            # the minimizing weights of the surrogate at x; w is the
+            # driver's (x^2 + eps^kappa)^((p-2)/2)
+            omega = w * (a + np.abs(x) ** p) ** (2.0 / p - 1.0)
+            # the zero start is not a candidate on the first step
+            cands = [x_new] if len(j_trace) == 1 else [x_new, x]
+            x_new = _feasible_minimizer(A, y, params, omega, eps, cfg.kappa,
+                                        cands)
+        # the penalty of the iterate the step starts from
+        return x_new, penalty_tlp(params, x), 0
 
     result, _ = _reweight(A, y, s, cfg, p, f"constrained(a={a:g},p={p:g})",
                           ls_step, stop_on_step=True)
     j_trace.append(j_closed_form(params, result.x, result.final_eps,
                                  cfg.kappa))
-    pen_trace.append(penalty_tlp(params, result.x))
-    result.objective_trace, result.j_trace = pen_trace, j_trace
+    result.objective_trace.append(penalty_tlp(params, result.x))
+    result.j_trace = j_trace
     result.eps_trace.append(result.final_eps)
     return result
 
@@ -580,16 +584,9 @@ def irls_lq_baseline(A, y, q: float, s: int,
         raise ValueError("q must lie in (0, 1]")
     A, y = _problem(A, y, s)
     zero = np.zeros(A.shape[1])
-    obj_trace: list[float] = []
 
     def ridge_step(x, w, eps):
-        spd = _SpdSolver(A, 2.0 * cfg.lam * w, y=y)
-        x = spd.solve(zero)
-        res = spd.residual
-        obj_trace.append(float(cfg.lam * penalty_lp(q, x) + 0.5 * (res @ res)))
-        return x
+        x, res = _SpdSolver(A, 2.0 * cfg.lam * w, y=y).solve(zero)
+        return x, float(cfg.lam * penalty_lp(q, x) + 0.5 * (res @ res)), 1
 
-    result, _ = _reweight(A, y, s, cfg, q, f"lq(q={q:g})", ridge_step)
-    result.objective_trace = obj_trace
-    result.total_inner_iters = result.outer_iters
-    return result
+    return _reweight(A, y, s, cfg, q, f"lq(q={q:g})", ridge_step)[0]

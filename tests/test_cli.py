@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -14,11 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tlpsparse
-from tlpsparse.bench import METHODS
-from tlpsparse.cli import main
+from tlpsparse.bench import METHODS, ExperimentPlan, SolverSpec
+from tlpsparse.cli import main, parse_plan_file
 from tlpsparse.sensing import (gen_gaussian, gen_signal, load_matrix_csv,
                                save_matrix_csv)
 from tlpsparse.solver import Schedule
+
+
+# a JSON integer too large for a float: not finite, so exit 2 naming its key
+BIG = 10 ** 400
 
 
 def write_vector(path, values):
@@ -108,6 +113,14 @@ class TestSolve:
                      "--measurements", str(y)])
         assert code == 2
 
+    def test_s_too_large_for_a_float_exit_2(self, tmp_path, identity_matrix):
+        y = tmp_path / "y.txt"
+        write_vector(y, [1.0, 0.0, 0.0, 0.0])
+        code, out, err = run_main(["solve", "--matrix", str(identity_matrix),
+                                   "--measurements", str(y), "--s", str(BIG)])
+        assert (code, out) == (2, "")
+        assert err == "error: s must be positive and finite\n"
+
     @pytest.mark.parametrize("flag", ["--truth", "--measurements"])
     @pytest.mark.parametrize("text, says", [
         (b"1\nx\n0\n0\n", ":2: bad value 'x'"),
@@ -183,7 +196,9 @@ class TestSolve:
     @pytest.mark.parametrize("opts, code, named", [
         ({"inner_max": 20.0}, 2, "inner_max"), ({"s": 1.0}, 2, "s"),
         ({"outer_max": "5"}, 2, "outer_max"), ({"lambda": 1}, 0, None),
-        ({"s": "5"}, 2, "s"), ({"s": [2]}, 2, "s")])
+        ({"s": "5"}, 2, "s"), ({"s": [2]}, 2, "s"),
+        ({"lambda": BIG}, 2, "lambda"), ({"s": BIG}, 2, "s"),
+        ({"a": BIG}, 2, "a")])
     def test_config_number_rule(self, tmp_path, identity_matrix, capsys,
                                 opts, code, named):
         # int knobs take integers, float knobs any real number
@@ -484,7 +499,10 @@ class TestBench:
         ({"q": True}, "q must be a number, got True"),
         ({"method": "lq", "q": True}, "q must be a number, got True"),
         ({"p": "0.7"}, "p must be a number, got '0.7'"),
-        ({"label": 5}, "label must be a string or null, got 5")])
+        ({"label": 5}, "label must be a string or null, got 5"),
+        ({"a": BIG}, "a must be positive"),
+        ({"lambda": BIG}, "lambda must be positive and finite"),
+        ({"inner_max": BIG}, "inner_max must be positive and finite")])
     def test_invalid_spec_exit_2(self, tmp_path, capsys, bad, named):
         d = self.plan_dict()
         d["solvers"] = [{"method": "tlp", **bad}]
@@ -530,7 +548,14 @@ class TestBench:
          "param must be positive and finite for family dct, got 0"),
         ({"kind": "sweep", "a_grid": [1.0], "p_grid": [0.7], "sparsity": 1,
           "sparsities": None, "param": 1.5},
-         "param must lie in [0, 1) for family gaussian, got 1.5")])
+         "param must lie in [0, 1) for family gaussian, got 1.5"),
+        ({"threshold": BIG}, "threshold must be positive and finite"),
+        ({"family": "dct", "param": BIG},
+         "param must be positive and finite for family dct, got 1000"),
+        ({"M": BIG}, "M must be positive and finite"),
+        ({"sparsities": [2, BIG]}, "sparsities must be positive and finite"),
+        ({"kind": "sweep", "a_grid": [BIG], "p_grid": [0.7], "sparsity": 1,
+          "sparsities": None}, "a_grid must be finite")])
     def test_bad_plan_numbers_exit_2(self, tmp_path, capsys, over, named):
         # checked before any trial runs, naming the key as written; a None
         # value drops the key from the plan
@@ -710,6 +735,61 @@ class TestSolveNeverCrashes:
             assert strict_json(out)["outer_iters"] <= outer_max, argv
 
 
+# any JSON value: integers beyond the float range, NaN and infinities
+# (which Python's json module reads), strings, and nested lists and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers() | st.integers(-BIG, BIG),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6)
+PLAN_KEYS = [f.name for f in fields(ExperimentPlan)] + \
+    ["kind", "a_grid", "p_grid", "sparsity"]
+SPEC_KEYS = [("lambda" if f.name == "lam" else f.name)
+             for f in fields(SolverSpec)]
+# the exceptions cli.main maps to an exit code instead of a traceback
+EXIT_CODE_ERRORS = (ValueError, TypeError, OSError, KeyError,
+                    json.JSONDecodeError)
+
+
+class TestPlanFileNeverCrashes:
+    """parse_plan_file returns a plan or raises an error that main maps
+    to exit 2, whatever JSON values a plan's keys or its solver entry hold;
+    it runs no trial."""
+
+    BASES = {
+        "success_rate": {"family": "gaussian", "M": 16, "N": 32,
+                         "sparsities": [2]},
+        "sweep": {"kind": "sweep", "family": "gaussian", "M": 16, "N": 32,
+                  "sparsity": 2, "a_grid": [1.0], "p_grid": [0.7]}}
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("plans") / "plan.json"
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(BASES)),
+           keys=st.dictionaries(st.sampled_from(PLAN_KEYS), JSON_VALUES,
+                                max_size=3),
+           entry=st.none() | st.dictionaries(st.sampled_from(SPEC_KEYS),
+                                             JSON_VALUES, max_size=3))
+    @example(kind="success_rate", keys={"threshold": BIG}, entry=None)
+    @example(kind="success_rate", keys={"family": "dct", "param": BIG},
+             entry=None)
+    @example(kind="success_rate", keys={}, entry={"a": BIG})
+    @example(kind="sweep", keys={"a_grid": [BIG]}, entry={"lambda": BIG})
+    def test_parse_plan_file(self, path, kind, keys, entry):
+        plan = {**self.BASES[kind], **keys}
+        if entry is not None:
+            plan["solvers"] = [entry]
+        path.write_text(json.dumps(plan))
+        try:
+            got = parse_plan_file(str(path))
+        except EXIT_CODE_ERRORS:
+            return
+        assert got[0] in self.BASES and isinstance(got[1], ExperimentPlan)
+
+
 class TestGenMatrix:
     def test_deterministic_files(self, tmp_path):
         a1, a2 = tmp_path / "a1.csv", tmp_path / "a2.csv"
@@ -739,6 +819,60 @@ class TestGenMatrix:
                      "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    # more bytes than any address space holds, so allocation fails at once
+    @pytest.mark.parametrize("family", ["gaussian", "dct"])
+    @pytest.mark.parametrize("M, N", [(2 ** 55, 2), (2, 2 ** 55),
+                                      (2 ** 55, 2 ** 55)])
+    def test_matrix_too_large_exit_2(self, tmp_path, family, M, N):
+        out = tmp_path / "a.csv"
+        code, _, err = run_main(["gen-matrix", f"--family={family}",
+                                 f"--M={M}", f"--N={N}", "--param=0.5",
+                                 "--seed=1", f"--out={out}"])
+        assert code == 2
+        assert err == (f"error: an M x N matrix of floats does not fit in "
+                       f"memory at M={M}, N={N}\n")
+        assert not out.exists()
+
+    def test_dct_phase_overflow_exit_2_without_warning(self, tmp_path):
+        out = tmp_path / "a.csv"
+        argv = ["gen-matrix", "--family=dct", "--M=4", "--N=8",
+                "--param=1e-320", "--seed=1", f"--out={out}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_main(argv)
+        assert code == 2
+        assert err == ("error: frequency parameter F is too small for N=8: "
+                       "the phases overflow, got 1e-320\n")
+        # at N = 1 every phase is 0, whatever F
+        assert main(argv[:3] + ["--N=1"] + argv[4:]) == 0
+        assert load_matrix_csv(str(out)).shape == (4, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from(["gaussian", "dct"]),
+           M=st.integers(1, 32), N=st.integers(1, 32), param=st.floats(),
+           seed=st.integers())
+    @example(family="dct", M=4, N=8, param=1e-320, seed=1)
+    @example(family="gaussian", M=2 ** 55, N=2, param=0.5, seed=1)
+    def test_gen_matrix_never_crashes(self, tmp_path_factory, family, M, N,
+                                      param, seed):
+        # exit 0 with an M x N file, or exit 2 with a message only
+        out = tmp_path_factory.getbasetemp() / "fuzz_gen.csv"
+        out.unlink(missing_ok=True)
+        argv = ["gen-matrix", f"--family={family}", f"--M={M}", f"--N={N}",
+                f"--param={param!r}", f"--seed={seed}", f"--out={out}"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run_main(argv)
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert stdout == "", argv
+        if code == 0:
+            assert err == "", argv
+            assert load_matrix_csv(str(out)).shape == (M, N), argv
+        else:
+            assert code == 2, (argv, code, err)
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert not out.exists(), argv
 
     def test_dct_coherent_downstream(self, tmp_path):
         from tlpsparse.sensing import coherence

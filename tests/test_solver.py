@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import cho_solve
@@ -209,7 +209,7 @@ class TestSpdSystem:
         d = np.exp(rng.uniform(-1, 1, 50))
         rhs = rng.standard_normal(50)
         x_ref = np.linalg.solve(A.T @ A + np.diag(d), rhs)
-        x = _SpdSolver(A, d).solve(rhs)
+        x, _ = _SpdSolver(A, d).solve(rhs)
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
@@ -235,7 +235,7 @@ class TestSpdRoutes:
             for _ in range(3):
                 A, d, y, v = _dca_like_system(rng, 64, 256, s)
                 b = A.T @ y + v
-                x = _SpdSolver(A, d, y=y).solve(v)
+                x, _ = _SpdSolver(A, d, y=y).solve(v)
                 res = A.T @ (A @ x) + d * x - b
                 scale = (np.linalg.norm(A, 2) ** 2 * np.linalg.norm(x)
                          + np.linalg.norm(d * x) + np.linalg.norm(b))
@@ -246,7 +246,7 @@ class TestSpdRoutes:
         for s in (40, 128):
             A, d, y, v = _dca_like_system(rng, 256, 1024, s)
             b = A.T @ y + v
-            x = _SpdSolver(A, d, y=y).solve(v)
+            x, _ = _SpdSolver(A, d, y=y).solve(v)
             res = A.T @ (A @ x) + d * x - b
             scale = (np.linalg.norm(A, 2) ** 2 * np.linalg.norm(x)
                      + np.linalg.norm(d * x) + np.linalg.norm(b))
@@ -391,6 +391,18 @@ class TestIrlsTlp:
         blob = json.dumps(res.to_dict())
         assert "objective_trace" in blob
 
+    @pytest.mark.parametrize("a", [1e-300, 1e308])
+    def test_stops_at_the_first_non_finite_iterate(self, a):
+        # the first DCA step is NaN at these a; the driver stops there
+        # instead of running outer_max NaN steps
+        A = gen_gaussian(6, 12, 0.0, seed=61).entries
+        y = A @ gen_signal(12, 2, seed=62).vector
+        with np.errstate(all="ignore"):
+            res = irls_tlp(A, y, PenaltyParams(a, 0.7), 2)
+        assert res.converged == "not_finite"
+        assert res.outer_iters <= 2
+        assert not np.isfinite(res.x).all()
+
     def test_wide_matrix_uses_dual_solve_and_recovers(self):
         # every SPD step of this solve factors the 20 x 20 dual
         from tlpsparse.sensing import gen_dct
@@ -405,19 +417,18 @@ class TestIrlsTlp:
 def fixed_tol_tlp(A, y, params, s, cfg):
     """irls_tlp's outer loop from _reweight and dca_subproblem at its
     default tolerance, cfg.inner_tol, with the solver's traces."""
-    obj, inner = [], []
+    inner = []
 
     def step(x, w, eps):
         r = dca_subproblem(A, y, params, w, cfg)
         inner.append(r.f_trace.tolist())
-        obj.append(float(cfg.lam * penalty_tlp(params, r.x)
-                         + 0.5 * (r.residual @ r.residual)))
-        return r.x
+        return r.x, float(cfg.lam * penalty_tlp(params, r.x)
+                          + 0.5 * (r.residual @ r.residual)), r.iters
 
     run, w = _reweight(A, y, s, cfg, params.p, "fixed_tol", step)
     grad_inf = float(np.max(np.abs(grad_f_w(A, y, params, cfg.lam, w,
                                             run.x))))
-    return run, obj, inner, grad_inf
+    return run, run.objective_trace, inner, grad_inf
 
 
 class TestInnerTolEps:
@@ -620,7 +631,7 @@ class TestReweight:
     V = np.array([1.0, 3.0, 0.0, 0.0])  # same tail magnitude at s = 1
 
     def alternate(self, x, w, eps):
-        return self.V if np.array_equal(x, self.U) else self.U
+        return (self.V if np.array_equal(x, self.U) else self.U), 0.0, 0
 
     @staticmethod
     def reweight(cfg, step, stop_on_step=False):
@@ -638,7 +649,7 @@ class TestReweight:
     def test_step_that_stays_at_zero(self):
         def stay(x, w, eps):
             assert np.array_equal(w, np.ones(4))  # (0 + 1^kappa)^((p-2)/2)
-            return x.copy()
+            return x.copy(), 0.0, 0
 
         cfg = Schedule()
         run = self.reweight(cfg, stay)
@@ -646,8 +657,62 @@ class TestReweight:
         run = self.reweight(cfg, stay, stop_on_step=True)
         assert (run.outer_iters, run.converged) == (1, "step_converged")
 
+    def test_stops_at_the_first_non_finite_iterate(self):
+        # the iterate is tested, not the objective, which may overflow
+        # while x stays finite
+        def step(x, w, eps):
+            if not x.any():
+                return self.U, np.inf, 3
+            return np.array([np.nan, 1.0, 0.0, 0.0]), 0.0, 4
+
+        for stop_on_step in (False, True):
+            run = self.reweight(Schedule(), step, stop_on_step)
+            assert (run.outer_iters, run.converged) == (2, "not_finite")
+            assert run.objective_trace == [np.inf, 0.0]
+            assert run.total_inner_iters == 7
+
     def test_eps_underflow_freezes_at_start(self):
         cfg = Schedule(eps0=1e-120)  # eps0^3 underflows to 0
         run = self.reweight(cfg, self.alternate)
         assert (run.outer_iters, run.converged) == (0, "sparsity_reached")
         assert np.array_equal(run.x, np.zeros(4)) and run.eps_trace == []
+
+
+class TestMetamorphic:
+    """Exact symmetries of all three solvers on 16 x 48 Gaussian problems,
+    at a recovering (s = 4) and a failing (s = 7) sparsity.  Sign flips
+    are exact in floating point, so they must hold bit for bit."""
+
+    @staticmethod
+    def problem(s):
+        A = gen_gaussian(16, 48, 0.0, seed=5).entries
+        return A, A @ gen_signal(48, s, seed=6).vector
+
+    @pytest.mark.parametrize("s, recovered", [(4, True), (7, False)])
+    @pytest.mark.parametrize("method", SOLVERS)
+    @settings(max_examples=10, deadline=None)
+    @given(flips=st.lists(st.booleans(), min_size=48, max_size=48),
+           negate=st.booleans())
+    @example(flips=[False] * 48, negate=True)
+    def test_sign_flips_are_exact(self, method, s, recovered, flips,
+                                  negate):
+        # flipping columns j of A flips x_j, and y -> -y gives -x
+        A, y = self.problem(s)
+        d = np.where(flips, -1.0, 1.0)
+        sign = -1.0 if negate else 1.0
+        base = SOLVERS[method](A, y, s)
+        got = SOLVERS[method](A * d, sign * y, s)
+        assert np.array_equal(got.x, sign * d * base.x)
+        assert (got.outer_iters, got.total_inner_iters, got.converged) == \
+            (base.outer_iters, base.total_inner_iters, base.converged)
+        assert got.objective_trace == base.objective_trace
+        x0 = gen_signal(48, s, seed=6).vector
+        rel = np.linalg.norm(base.x - x0) / np.linalg.norm(x0)
+        assert (rel < 1e-3) == recovered
+
+    @pytest.mark.parametrize("method", SOLVERS)
+    def test_zero_measurements_stop_after_one_step(self, method):
+        A, _ = self.problem(4)
+        res = SOLVERS[method](A, np.zeros(16), 4)
+        assert res.outer_iters == 1
+        assert np.array_equal(res.x, np.zeros(48))
