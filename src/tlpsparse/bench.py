@@ -4,8 +4,8 @@ A plan names a matrix family, a sparsity grid, a trial count, and one or
 more solver configurations; the harness runs every (solver, sparsity,
 trial) cell with a fresh matrix and a fresh signal, counts recoveries
 below the relative-error threshold, and emits one CSV row per cell.  An
-(a, p) sweep is such a plan too: ``sweep_specs`` turns the grid into its
-solvers, and ``sweep_to_csv`` writes its cells as
+(a, p) sweep is such a plan too, with one tlp solver per grid point and
+one sparsity; ``sweep_to_csv`` writes its cells as
 ``a,p,sparsity,success_rate`` rows.
 
 Trials run serially, in plan order.  Per-trial random streams are derived
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,6 +118,9 @@ class ExperimentPlan:
         if not isinstance(self.timing, bool):
             raise ValueError(f"timing must be true or false, "
                              f"got {self.timing!r}")
+        if not isinstance(self.sparsities, (list, tuple)):
+            raise ValueError(f"sparsities must be a list of integers, "
+                             f"got {self.sparsities!r}")
         sp = tuple(self.sparsities)
         for s in sp:
             _check_positive("sparsities", s, integral=True)
@@ -255,41 +258,6 @@ def to_csv(result: ExperimentResult) -> str:
             _fmt(cell.success_rate), _fmt(cell.mean_rel_err),
             _fmt(cell.mean_time_ms)]))
     return "\n".join(lines) + "\n"
-
-
-def sweep_specs(a_grid, p_grid, base: Schedule = Schedule()
-                ) -> tuple[SolverSpec, ...]:
-    """The tlp specs of an (a, p) grid, a-major, each with the schedule
-    knobs of ``base``; nothing else of ``base`` is read.
-
-    Run them as the solvers of a plan, whose ``sweep_to_csv`` is then the
-    success rate at each grid point and sparsity.  Every spec is built,
-    and so checked, before any trial runs; an error names the grid.
-    """
-    grids = []
-    for name, grid in (("a_grid", a_grid), ("p_grid", p_grid)):
-        try:
-            grid = list(grid)
-        except TypeError:
-            raise ValueError(f"{name} must be a list of numbers, "
-                             f"got {grid!r}") from None
-        for v in grid:
-            _check_number(name, v, integral=False)
-        try:
-            grids.append([float(v) for v in grid])
-        except OverflowError:  # an integer too large for a float
-            raise ValueError(f"{name} must be finite") from None
-    if not all(grids):
-        raise ValueError("grids must be nonempty")
-    knobs = {f.name: getattr(base, f.name) for f in fields(Schedule)}
-    try:
-        return tuple(SolverSpec(method="tlp", a=a, p=p, **knobs)
-                     for a, p in itertools.product(*grids))
-    except ValueError as exc:
-        # the knobs are base's, so only a grid value can fail: "a ..."
-        # or "p ..."
-        name, sep, rest = str(exc).partition(" ")
-        raise ValueError(f"{name}_grid{sep}{rest}") from None
 
 
 def sweep_to_csv(result: ExperimentResult) -> str:

@@ -11,19 +11,22 @@ File formats
 * solve results: JSON with the recovered vector and all traces;
 * bench plans: JSON (see README for the schema); the keys are the
   fields of :class:`~tlpsparse.bench.ExperimentPlan`, with its defaults,
-  plus ``kind`` and, in sweep plans only, the sweep keys, whose one
-  ``sparsity`` stands in for ``sparsities``; unknown keys are rejected so
-  typos fail loudly.  A sweep plan's grid becomes its solvers, so it
-  takes at most one solver entry, which sets schedule knobs only.
+  plus ``kind``; unknown keys are rejected so typos fail loudly.  A sweep
+  plan abbreviates an ordinary plan: its one ``sparsity`` stands for
+  ``sparsities``, and each point of its (a, p) grid becomes a tlp solver
+  entry made from its one solver entry, which sets schedule knobs only.
 
 Exit codes: 0 solver/tool completed (regardless of convergence status),
-2 usage or input error, 3 dimension mismatch.  ``solve`` exits 2 rather
-than write a NaN or infinity.  Bench runs its trials serially.
+2 usage or input error (a ``ValueError`` or ``OSError``), 3 dimension
+mismatch.  Any other exception is a bug and ends in a traceback.
+``solve`` exits 2 rather than write a NaN or infinity.  Bench runs its
+trials serially.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -46,8 +49,11 @@ class DimensionError(ValueError):
     """Input shapes disagree; maps to exit code 3."""
 
 
-# keys of sweep plans only, beyond the ExperimentPlan fields
+_PLAN_KEYS = [f.name for f in fields(bench_mod.ExperimentPlan)]
+# keys of sweep plans only, which stand for sparsities and the solvers
 _SWEEP_KEYS = ("a_grid", "p_grid", "sparsity")
+# errors in the ordinary plan a sweep expands to name the sweep's keys
+_SWEEP_SPELLING = {"sparsities": "sparsity", "a": "a_grid", "p": "p_grid"}
 
 # files and flags spell the field lam as "lambda"
 _SPELLING = {"lam": "lambda"}
@@ -163,19 +169,48 @@ def _parse_spec(d: dict, keys=_SPEC_KEYS, what="solver spec"
                        **{keys[k].name: v for k, v in d.items()})
 
 
-def _check_sweep_solvers(specs: list) -> None:
-    """The grid of a sweep plan makes its tlp specs from the schedule
-    knobs of at most one solver entry; any other key would be lost."""
-    if len(specs) > 1:
+def _expand_sweep(raw: dict) -> dict:
+    """The ordinary plan that the sweep plan ``raw`` abbreviates.
+
+    Its ``sparsity`` becomes ``sparsities: [sparsity]``, and each (a, p)
+    point of its grid, a-major, the solver entry ``{**entry, "method":
+    "tlp", "a": a, "p": p}``, with ``entry`` its one solver entry (none
+    means the default schedule).  That entry may set ``"method": "tlp"``
+    and the schedule knobs only: any other key would be overwritten or
+    lost.  The values themselves are checked on the ordinary path.
+    """
+    _reject_unknown(raw, {*_PLAN_KEYS, *_SWEEP_KEYS} - {"sparsities"}, "plan")
+    for key in _SWEEP_KEYS:
+        if key not in raw:
+            raise ValueError(f"sweep plan requires {key!r}")
+    for key in ("a_grid", "p_grid"):
+        if not (isinstance(raw[key], list) and raw[key]):
+            raise ValueError(f"{key} must be a list of numbers (nonempty), "
+                             f"got {raw[key]!r}")
+    entries = raw.get("solvers") or [{}]
+    if len(entries) > 1:
         raise ValueError(f"solvers of a sweep plan must hold at most one "
-                         f"entry, got {len(specs)}")
-    for key, value in (specs[0].items() if specs else ()):
-        if key == "method" and value != "tlp":
-            raise ValueError(f"method of a sweep plan must be 'tlp', "
-                             f"got {value!r}")
+                         f"entry, got {len(entries)}")
+    entry = entries[0]
+    if entry.get("method", "tlp") != "tlp":
+        raise ValueError(f"method of a sweep plan must be 'tlp', "
+                         f"got {entry['method']!r}")
+    for key in entry:
         if key not in ("method", *_KNOB_KEYS):
             raise ValueError(f"{key} cannot be set in a sweep plan, whose "
                              f"solver entry takes schedule knobs only")
+    plan = {k: v for k, v in raw.items() if k not in _SWEEP_KEYS}
+    plan["sparsities"] = [raw["sparsity"]]
+    plan["solvers"] = [{**entry, "method": "tlp", "a": a, "p": p}
+                       for a, p in itertools.product(raw["a_grid"],
+                                                     raw["p_grid"])]
+    return plan
+
+
+def _build_plan(solvers=None, **opts) -> bench_mod.ExperimentPlan:
+    if solvers is not None:
+        opts["solvers"] = tuple(_parse_spec(d) for d in solvers)
+    return bench_mod.ExperimentPlan(**opts)
 
 
 def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
@@ -183,48 +218,32 @@ def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
 
     The optional arguments override the corresponding plan fields (the
     flag-beats-file rule).  Keys the file omits take the
-    ``ExperimentPlan`` defaults.  The sweep keys belong to sweep plans
-    only.  A sweep runs at its one ``sparsity`` and takes no
-    ``sparsities``; its solvers are ``bench.sweep_specs`` of its grid and
-    its one solver entry, if any, so it runs as any other plan.
+    ``ExperimentPlan`` defaults.  A sweep plan is first expanded to the
+    ordinary plan it abbreviates (``_expand_sweep``), so every plan, and
+    every solver entry, is checked and built on one path; its errors
+    name the keys the sweep plan wrote.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: plan must be a JSON object")
-    plan_fields = fields(bench_mod.ExperimentPlan)
-    names = [f.name for f in plan_fields]
-    kind = raw.get("kind", "success_rate")
+    kind = raw.pop("kind", "success_rate")
     if kind not in ("success_rate", "sweep"):
         raise ValueError(f"unknown plan kind {kind!r}")
-    sweep_keys = _SWEEP_KEYS if kind == "sweep" else ()
-    plan_keys = [n for n in names if not (sweep_keys and n == "sparsities")]
-    _reject_unknown(raw, plan_keys + ["kind", *sweep_keys], "plan")
-    for key in sweep_keys:
-        if key not in raw:
-            raise ValueError(f"sweep plan requires {key!r}")
-
-    opts = {k: raw[k] for k in names if k in raw}
-    flags = {"trials": trials, "master_seed": seed, "threshold": threshold}
-    opts.update((k, v) for k, v in flags.items() if v is not None)
-    if "solvers" in opts:
-        specs = opts["solvers"]
-        if not (isinstance(specs, list)
-                and all(isinstance(d, dict) for d in specs)):
-            raise ValueError("solvers must be a list of objects")
-        if kind == "sweep":
-            _check_sweep_solvers(specs)
-        opts["solvers"] = tuple(_parse_spec(d) for d in specs)
+    specs = raw.get("solvers", [])
+    if not (isinstance(specs, list)
+            and all(isinstance(d, dict) for d in specs)):
+        raise ValueError("solvers must be a list of objects")
+    spelling = {}
     if kind == "sweep":
-        opts["sparsities"] = [raw["sparsity"]]
-        opts["solvers"] = bench_mod.sweep_specs(
-            raw["a_grid"], raw["p_grid"], *opts.get("solvers", ()))
-    for f in plan_fields:
-        if f.default is MISSING and f.name not in opts:
+        raw, spelling = _expand_sweep(raw), _SWEEP_SPELLING
+    _reject_unknown(raw, _PLAN_KEYS, "plan")
+    flags = {"trials": trials, "master_seed": seed, "threshold": threshold}
+    raw.update((k, v) for k, v in flags.items() if v is not None)
+    for f in fields(bench_mod.ExperimentPlan):
+        if f.default is MISSING and f.name not in raw:
             raise ValueError(f"plan requires {f.name!r}")
-    spelling = {"sparsities": "sparsity"} if kind == "sweep" else {}
-    plan = _as_written(spelling, bench_mod.ExperimentPlan, **opts)
-    return kind, plan
+    return kind, _as_written(spelling, _build_plan, **raw)
 
 
 def cmd_bench(args) -> int:
@@ -326,8 +345,7 @@ def main(argv=None) -> int:
     except DimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -118,6 +118,12 @@ class SolveResult:
     ``converged`` is one of ``sparsity_reached``, ``step_converged``,
     ``max_iters``, or ``not_finite`` when the run stopped at the first
     iterate holding a NaN or an infinity (x is that iterate).
+
+    ``total_inner_iters`` counts the work of the outer steps, in a unit
+    per solver: tlp its DCA steps (one SPD solve each), lq one ridge
+    solve per outer step, and constrained one weighted least-squares
+    solve per outer step plus, under ``exact_update``, the L-BFGS
+    iterations of its polishes.
     """
 
     solver: str
@@ -430,6 +436,14 @@ def _reweight(A: np.ndarray, y: np.ndarray, s: int, cfg: Schedule,
         eps_trace=eps_trace, w_inf_trace=w_inf_trace), w
 
 
+# Each solve runs under this error state: a run that overflows or goes NaN
+# stops with status not_finite, so numpy's floating-point warnings would
+# only repeat that on stderr.  Warnings the solvers issue themselves (the
+# ridge of _cho_factor_spd) still fire.
+_QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@_QUIET
 def irls_tlp(A, y, params: PenaltyParams, s: int,
              cfg: Schedule = Schedule()) -> SolveResult:
     """Outer reweighting loop (``_reweight``) around the DC inner solver.
@@ -482,9 +496,11 @@ def _constrained_ls(A: np.ndarray, y: np.ndarray, dvec: np.ndarray) -> np.ndarra
 
 def _feasible_minimizer(A: np.ndarray, y: np.ndarray, params: PenaltyParams,
                         omega: np.ndarray, eps: float, kappa: float,
-                        candidates: list[np.ndarray]) -> np.ndarray:
+                        candidates: list[np.ndarray]
+                        ) -> tuple[np.ndarray, int]:
     # local minimization of the surrogate over {Ax = y}: parameterize the
-    # feasible set by the null space, polish each candidate, keep the best
+    # feasible set by the null space, polish each candidate, keep the best;
+    # also returns the L-BFGS iterations the polishes ran
     # imported here: scipy.optimize costs every process ~0.2 s and ~20 MB
     from scipy.optimize import minimize
 
@@ -493,7 +509,7 @@ def _feasible_minimizer(A: np.ndarray, y: np.ndarray, params: PenaltyParams,
     Z = null_space(A)
     x_part, *_ = np.linalg.lstsq(A, y, rcond=None)
     if Z.shape[1] == 0:
-        return x_part
+        return x_part, 0
 
     def value_grad(t: np.ndarray):
         xv = x_part + Z @ t
@@ -502,27 +518,29 @@ def _feasible_minimizer(A: np.ndarray, y: np.ndarray, params: PenaltyParams,
         denom = (a + axp) ** (2.0 / p)
         u = xv * xv + epspow
         val = 0.5 * p * (a + 1.0) * float(np.sum(u / denom * omega))
-        # d/dx of u/denom; the |x|^(p-1) factor is taken as 0 at x = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            axpm1 = np.where(ax > 0, ax ** (p - 1.0), 0.0)
+        # d/dx of u/denom; the |x|^(p-1) factor is taken as 0 at x = 0,
+        # where 0 ** (p-1) divides by zero silently under irls_constrained
+        axpm1 = np.where(ax > 0, ax ** (p - 1.0), 0.0)
         gx = 2.0 * xv / denom - 2.0 * u * axpm1 * np.sign(xv) / (
             (a + axp) * denom)
         gx *= 0.5 * p * (a + 1.0) * omega
         return val, Z.T @ gx
 
-    best_x, best_val = None, np.inf
+    best_x, best_val, nit = None, np.inf, 0
     for cand in candidates:
         t0 = Z.T @ (cand - x_part)
         out = minimize(value_grad, t0, jac=True, method="L-BFGS-B",
                        options={"maxiter": 200})
+        nit += out.nit
         for t in (out.x, t0):
             val = value_grad(t)[0]
             if val < best_val:
                 best_val = val
                 best_x = x_part + Z @ t
-    return best_x
+    return best_x, nit
 
 
+@_QUIET
 def irls_constrained(A, y, params: PenaltyParams, s: int,
                      cfg: Schedule = Schedule(),
                      exact_update: bool = False) -> SolveResult:
@@ -550,16 +568,18 @@ def irls_constrained(A, y, params: PenaltyParams, s: int,
         j_trace.append(j_closed_form(params, x, eps, cfg.kappa))
         # hat-w = (a+1) w / (a + |x|^p), frozen at the current iterate
         x_new = _constrained_ls(A, y, (a + np.abs(x) ** p) / ((a + 1.0) * w))
+        nit = 0
         if exact_update:
             # the minimizing weights of the surrogate at x; w is the
             # driver's (x^2 + eps^kappa)^((p-2)/2)
             omega = w * (a + np.abs(x) ** p) ** (2.0 / p - 1.0)
             # the zero start is not a candidate on the first step
             cands = [x_new] if len(j_trace) == 1 else [x_new, x]
-            x_new = _feasible_minimizer(A, y, params, omega, eps, cfg.kappa,
-                                        cands)
-        # the penalty of the iterate the step starts from
-        return x_new, penalty_tlp(params, x), 0
+            x_new, nit = _feasible_minimizer(A, y, params, omega, eps,
+                                             cfg.kappa, cands)
+        # the penalty of the iterate the step starts from; one weighted
+        # least-squares solve plus the polishes' L-BFGS iterations
+        return x_new, penalty_tlp(params, x), 1 + nit
 
     result, _ = _reweight(A, y, s, cfg, p, f"constrained(a={a:g},p={p:g})",
                           ls_step, stop_on_step=True)
@@ -571,6 +591,7 @@ def irls_constrained(A, y, params: PenaltyParams, s: int,
     return result
 
 
+@_QUIET
 def irls_lq_baseline(A, y, q: float, s: int,
                      cfg: Schedule = Schedule()) -> SolveResult:
     """IRLS for  lam ||x||_q^q + 1/2 ||Ax - y||^2  with the same schedule.

@@ -1,15 +1,16 @@
+import json
 import math
+import os
 import re
-from dataclasses import replace
+import tempfile
 
 import numpy as np
 import pytest
 
 import tlpsparse.bench as bench
 from tlpsparse.bench import (CSV_HEADER, ExperimentPlan, SolverSpec,
-                             run_experiment, run_trial, sweep_specs,
-                             sweep_to_csv, to_csv)
-from tlpsparse.solver import Schedule
+                             run_experiment, run_trial, sweep_to_csv, to_csv)
+from tlpsparse.cli import parse_plan_file
 
 
 def tiny_plan(**over):
@@ -21,11 +22,28 @@ def tiny_plan(**over):
     return ExperimentPlan(**base)
 
 
+def sweep_plan(a_grid, p_grid, sparsity, plan, entry=None):
+    """The sweep plan file of the (a, p) grid at one sparsity, with the
+    family, shape, trials, threshold, seed and timing of ``plan``, as
+    ``parse_plan_file`` reads it; ``entry`` is its solver entry."""
+    d = {"kind": "sweep", "family": plan.family, "M": plan.M, "N": plan.N,
+         "param": plan.param, "trials": plan.trials,
+         "threshold": plan.threshold, "master_seed": plan.master_seed,
+         "timing": plan.timing, "sparsity": sparsity, "a_grid": a_grid,
+         "p_grid": p_grid}
+    if entry is not None:
+        d["solvers"] = [entry]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "plan.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(d, fh)
+        kind, parsed = parse_plan_file(path)
+    assert kind == "sweep"
+    return parsed
+
+
 def run_sweep(a_grid, p_grid, sparsity, plan):
-    """The (a, p) grid as the solvers of ``plan`` at one sparsity."""
-    specs = sweep_specs(a_grid, p_grid, plan.solvers[0])
-    return run_experiment(replace(plan, sparsities=(sparsity,),
-                                  solvers=specs))
+    return run_experiment(sweep_plan(a_grid, p_grid, sparsity, plan))
 
 
 def sweep_rows(a_grid, p_grid, sparsity, plan):
@@ -222,17 +240,21 @@ class TestSweep:
         ([1.0], [math.nan], "p_grid must lie in (0, 1]")])
     def test_range_error_names_the_grid(self, a_grid, p_grid, named):
         with pytest.raises(ValueError, match=re.escape(named)):
-            sweep_specs(a_grid, p_grid)
+            sweep_plan(a_grid, p_grid, 2, tiny_plan())
 
     def test_specs_take_the_schedule_knobs_only(self):
-        base = SolverSpec(method="lq", q=0.3, label="x", kappa=2.0,
-                          inner_max=7)
-        specs = sweep_specs([0.5, 2.0], [0.7], base)
-        assert specs == (
+        plan = sweep_plan([0.5, 2.0], [0.7], 2, tiny_plan(),
+                          entry={"kappa": 2.0, "inner_max": 7})
+        assert plan.sparsities == (2,)
+        assert plan.solvers == (
             SolverSpec(method="tlp", a=0.5, p=0.7, kappa=2.0, inner_max=7),
             SolverSpec(method="tlp", a=2.0, p=0.7, kappa=2.0, inner_max=7))
-        assert sweep_specs([1.0], [1.0], Schedule(kappa=2.0)) == (
+        plan = sweep_plan([1.0], [1.0], 2, tiny_plan(),
+                          entry={"method": "tlp", "kappa": 2.0})
+        assert plan.solvers == (
             SolverSpec(method="tlp", a=1.0, p=1.0, kappa=2.0),)
+        assert sweep_plan([1.0], [1.0], 2, tiny_plan()).solvers == (
+            SolverSpec(method="tlp", a=1.0, p=1.0),)
 
 
 class TestCsvFormat:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import re
@@ -15,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tlpsparse
-from tlpsparse.bench import METHODS, ExperimentPlan, SolverSpec
+from tlpsparse.bench import (METHODS, ExperimentPlan, SolverSpec,
+                             run_experiment)
 from tlpsparse.cli import main, parse_plan_file
 from tlpsparse.sensing import (gen_gaussian, gen_signal, load_matrix_csv,
                                save_matrix_csv)
@@ -414,16 +416,35 @@ class TestBench:
         assert capsys.readouterr().err == named
 
     def test_sweep_plan_solvers_are_its_grid(self):
-        from tlpsparse.bench import SolverSpec, sweep_specs
-        from tlpsparse.cli import parse_plan_file
         path = Path(__file__).resolve().parent.parent / "plans" / \
             "heat_sweep_s24.json"
         raw = json.loads(path.read_text())
         kind, plan = parse_plan_file(str(path))
         assert (kind, plan.sparsities) == ("sweep", (24,))
-        assert plan.solvers == sweep_specs(raw["a_grid"], raw["p_grid"],
-                                           SolverSpec(kappa=3.0, lam=1e-6))
+        assert plan.solvers == tuple(
+            SolverSpec(method="tlp", a=a, p=p, kappa=3.0, lam=1e-6)
+            for a, p in itertools.product(raw["a_grid"], raw["p_grid"]))
         assert len(plan.solvers) == 50
+
+    def test_sweep_plan_is_the_plan_it_abbreviates(self, tmp_path):
+        # a sweep plan and the ordinary plan listing its grid's entries at
+        # the same family, shape, seed, trials and sparsity: equal cells
+        knobs = {"kappa": 2.5, "lambda": 1e-5}
+        sweep = {**self.sweep_dict(), "sparsity": 3, "a_grid": [0.5, 2.0],
+                 "p_grid": [0.4, 1.0], "solvers": [knobs]}
+        entries = [{"method": "tlp", "a": a, "p": p, **knobs}
+                   for a in (0.5, 2.0) for p in (0.4, 1.0)]
+        plain = {**self.plan_dict(), "sparsities": [3], "solvers": entries}
+        cells = []
+        for name, d in (("sweep", sweep), ("plain", plain)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(d))
+            cells.append([(c.spec, c.sparsity, c.successes, c.mean_rel_err)
+                          for c in run_experiment(
+                              parse_plan_file(str(path))[1]).cells])
+        assert cells[0] == cells[1]
+        assert len(cells[0]) == 4
+        assert len({c[2:] for c in cells[0]}) > 1  # the grid points differ
 
     def test_overflowing_eps0_fails_before_any_trial(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -555,7 +576,8 @@ class TestBench:
         ({"M": BIG}, "M must be positive and finite"),
         ({"sparsities": [2, BIG]}, "sparsities must be positive and finite"),
         ({"kind": "sweep", "a_grid": [BIG], "p_grid": [0.7], "sparsity": 1,
-          "sparsities": None}, "a_grid must be finite")])
+          "sparsities": None}, "a_grid must be positive"),
+        ({"sparsities": 5}, "sparsities must be a list of integers, got 5")])
     def test_bad_plan_numbers_exit_2(self, tmp_path, capsys, over, named):
         # checked before any trial runs, naming the key as written; a None
         # value drops the key from the plan
@@ -707,12 +729,16 @@ class TestSolveNeverCrashes:
         assert "eps0=1e+300, kappa=3.0" in err
 
     def test_nan_exit_2_and_no_out_file(self, problem, tmp_path):
-        # a^3 underflows, and grad_phi_w divides 0 by 0 at x_i = 0
+        # a^3 underflows, and grad_phi_w divides 0 by 0 at x_i = 0; no
+        # numpy warning precedes the message (any warning raises here)
         out = tmp_path / "o.json"
-        code, _, err = run_main(problem + ["--a=1e-300", "--outer-max=5",
-                                           f"--out={out}"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_main(problem + ["--a=1e-300", "--outer-max=5",
+                                               f"--out={out}"])
         assert code == 2
         assert err.startswith("error: x holds a value that is not finite")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @settings(max_examples=200, deadline=None)
@@ -748,8 +774,7 @@ PLAN_KEYS = [f.name for f in fields(ExperimentPlan)] + \
 SPEC_KEYS = [("lambda" if f.name == "lam" else f.name)
              for f in fields(SolverSpec)]
 # the exceptions cli.main maps to an exit code instead of a traceback
-EXIT_CODE_ERRORS = (ValueError, TypeError, OSError, KeyError,
-                    json.JSONDecodeError)
+EXIT_CODE_ERRORS = (ValueError, OSError)
 
 
 class TestPlanFileNeverCrashes:
@@ -778,6 +803,7 @@ class TestPlanFileNeverCrashes:
              entry=None)
     @example(kind="success_rate", keys={}, entry={"a": BIG})
     @example(kind="sweep", keys={"a_grid": [BIG]}, entry={"lambda": BIG})
+    @example(kind="success_rate", keys={"sparsities": 5}, entry=None)
     def test_parse_plan_file(self, path, kind, keys, entry):
         plan = {**self.BASES[kind], **keys}
         if entry is not None:

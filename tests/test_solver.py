@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -393,11 +394,13 @@ class TestIrlsTlp:
 
     @pytest.mark.parametrize("a", [1e-300, 1e308])
     def test_stops_at_the_first_non_finite_iterate(self, a):
-        # the first DCA step is NaN at these a; the driver stops there
-        # instead of running outer_max NaN steps
+        # the first DCA step is NaN at these a (0 / 0, or an overflow); the
+        # driver stops there instead of running outer_max NaN steps, and
+        # the status says so without a numpy warning
         A = gen_gaussian(6, 12, 0.0, seed=61).entries
         y = A @ gen_signal(12, 2, seed=62).vector
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = irls_tlp(A, y, PenaltyParams(a, 0.7), 2)
         assert res.converged == "not_finite"
         assert res.outer_iters <= 2
@@ -567,6 +570,19 @@ class TestIrlsConstrained:
         res = irls_constrained(np.eye(3), y, PenaltyParams(1.0, 0.7), 2,
                                exact_update=True)
         assert np.allclose(res.x, y, atol=1e-8)
+        assert res.total_inner_iters == res.outer_iters
+
+    def test_inner_iters_count_solves_and_polish_iterations(self):
+        # one weighted least-squares solve per step, plus the L-BFGS
+        # iterations of the polishes under exact_update
+        A = gen_gaussian(16, 32, 0.0, seed=61)
+        y = A.entries @ gen_signal(32, 3, seed=62).vector
+        cfg = Schedule(outer_max=10)
+        plain = irls_constrained(A, y, PenaltyParams(1.0, 0.7), 3, cfg)
+        exact = irls_constrained(A, y, PenaltyParams(1.0, 0.7), 3, cfg,
+                                 exact_update=True)
+        assert plain.total_inner_iters == plain.outer_iters
+        assert exact.total_inner_iters > exact.outer_iters
 
 
 class TestIrlsLq:
