@@ -53,12 +53,19 @@ def derive_seed(master: int, *parts) -> int:
 
 @dataclass(frozen=True)
 class SensingMatrix:
-    """Dense measurement matrix with finite entries, read-only."""
+    """Dense measurement matrix with finite entries, read-only.
+
+    A writeable input is copied, so the caller's array stays writeable and
+    later writes to it do not reach the matrix; a read-only float array is
+    kept as it is.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=float)
+        if entries.flags.writeable:
+            entries = entries.copy()
         if entries.ndim != 2 or entries.shape[0] < 1 or entries.shape[1] < 1:
             raise ValueError("entries must be a nonempty 2-D array")
         if not np.all(np.isfinite(entries)):
@@ -124,7 +131,9 @@ def gen_gaussian(M: int, N: int, r: float, seed: int) -> SensingMatrix:
         rng = _rng(seed)
         z = rng.standard_normal((M, N))
         g = rng.standard_normal((M, 1))
-        return SensingMatrix(entries=np.sqrt(1.0 - r) * z + np.sqrt(r) * g)
+        entries = np.sqrt(1.0 - r) * z + np.sqrt(r) * g
+        entries.setflags(write=False)  # new, so SensingMatrix need not copy
+        return SensingMatrix(entries=entries)
 
 
 def gen_dct(M: int, N: int, F: float, seed: int) -> SensingMatrix:
@@ -141,6 +150,7 @@ def gen_dct(M: int, N: int, F: float, seed: int) -> SensingMatrix:
         w = rng.random(M)
         idx = np.arange(N)
         entries = np.cos(2.0 * np.pi * np.outer(w, idx) / F) / np.sqrt(M)
+        entries.setflags(write=False)  # new, so SensingMatrix need not copy
         return SensingMatrix(entries=entries)
 
 
@@ -212,6 +222,7 @@ def load_matrix_csv(path: str) -> SensingMatrix:
                               path, N, first_line=2)
     if len(entries) != M:
         raise ValueError(f"{path}: expected {M} rows, got {len(entries)}")
+    entries.setflags(write=False)  # new, so SensingMatrix need not copy
     try:
         return SensingMatrix(entries=entries)
     except ValueError as exc:

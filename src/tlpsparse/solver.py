@@ -558,7 +558,8 @@ def irls_constrained(A, y, params: PenaltyParams, s: int,
     ``objective_trace`` records the penalty value per outer iterate and
     ``j_trace`` the matched surrogate value; both include the final point,
     and so does ``eps_trace``, which holds one entry more than
-    ``w_inf_trace``.
+    ``w_inf_trace``.  A step whose weights overflow (a huge ``a``, or a
+    huge y) ends the run with status ``not_finite``.
     """
     A, y = _problem(A, y, s)
     a, p = params.a, params.p
@@ -566,8 +567,14 @@ def irls_constrained(A, y, params: PenaltyParams, s: int,
 
     def ls_step(x, w, eps):
         j_trace.append(j_closed_form(params, x, eps, cfg.kappa))
-        # hat-w = (a+1) w / (a + |x|^p), frozen at the current iterate
-        x_new = _constrained_ls(A, y, (a + np.abs(x) ** p) / ((a + 1.0) * w))
+        # hat-w = (a+1) w / (a + |x|^p), frozen at the current iterate; if
+        # (a+1) w, or x^2 inside w, overflowed, an entry of 1 / hat-w is 0
+        # or inf and the step has broken down: an all-NaN x stops the
+        # driver there
+        dvec = (a + np.abs(x) ** p) / ((a + 1.0) * w)
+        if not (np.isfinite(dvec).all() and (dvec > 0).all()):
+            return np.full_like(x, np.nan), penalty_tlp(params, x), 0
+        x_new = _constrained_ls(A, y, dvec)
         nit = 0
         if exact_update:
             # the minimizing weights of the surrogate at x; w is the

@@ -174,6 +174,17 @@ class TestRunExperiment:
         assert result.cells[0].trials == 3
         assert result.cells[0].successes == 2
 
+    def test_weight_overflow_is_a_solver_stop_not_a_crash(self):
+        # constrained at a huge a stops not_finite; the trial keeps its
+        # outer count and scores rel_err = inf
+        spec = SolverSpec(method="constrained", a=1e308)
+        plan = tiny_plan(M=32, N=64, sparsities=(4,), trials=2,
+                         solvers=(spec,), master_seed=1234)
+        for trial in range(2):
+            rec = run_trial(plan, spec, 4, trial)
+            assert (rec.rel_err, rec.success) == (math.inf, False)
+            assert rec.outer_iters >= 1
+
     def test_success_threshold_contract(self):
         plan = tiny_plan(sparsities=(1,), trials=4)
         for rec in run_experiment(plan).records:

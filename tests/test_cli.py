@@ -203,7 +203,8 @@ class TestSolve:
         ({"a": BIG}, 2, "a")])
     def test_config_number_rule(self, tmp_path, identity_matrix, capsys,
                                 opts, code, named):
-        # int knobs take integers, float knobs any real number
+        # int knobs take integers, float knobs any real number; an error
+        # is one stderr line naming the key, with no traceback
         y = tmp_path / "y.txt"
         write_vector(y, [3.0, 0.0, 0.0, 0.0])
         cfgfile = tmp_path / "cfg.json"
@@ -211,8 +212,13 @@ class TestSolve:
         assert main(["solve", "--matrix", str(identity_matrix),
                      "--measurements", str(y), "--config", str(cfgfile)]) \
             == code
+        out, err = capsys.readouterr()
         if named:
-            assert f"{named} must be" in capsys.readouterr().err
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith(f"error: {named} must be ")
+        if opts == {"lambda": BIG}:
+            # a 400-digit integer is too large for a float, so not finite
+            assert err == "error: lambda must be positive and finite\n"
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_lambda_named_as_written(self, tmp_path, identity_matrix,
@@ -340,15 +346,33 @@ class TestBench:
         assert "matrix_family" in capsys.readouterr().err
 
     def test_sweep_plan(self, tmp_path, capsys):
+        # the sweep CSV: its header, then one row per grid point
         d = self.plan_dict()
-        d.update({"kind": "sweep", "a_grid": [1.0], "p_grid": [0.7],
+        d.update({"kind": "sweep", "a_grid": [0.5, 1.0], "p_grid": [0.5, 1.0],
                   "sparsity": 1})
         d.pop("sparsities")
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(d))
         assert main(["bench", "--plan", str(plan)]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[0] == "a,p,sparsity,success_rate"
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "a,p,sparsity,success_rate"
+        assert [ln.split(",")[:3] for ln in lines[1:]] == [
+            [a, p, "1"] for a in ("0.5", "1.0") for p in ("0.5", "1.0")]
+
+    def test_shipped_a7_plan_at_one_trial(self):
+        # the phase-transition plan through main, with --trials overriding
+        # its 20: the success CSV header, then one row per sparsity
+        path = Path(__file__).resolve().parent.parent / "plans" / \
+            "phase_transition_a7.json"
+        code, out, err = run_main(["bench", "--plan", str(path),
+                                   "--trials", "1"])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == ("solver,a,p,kappa,family,M,N,param,sparsity,"
+                            "trials,successes,success_rate,mean_rel_err,"
+                            "mean_time_ms")
+        assert [ln.split(",")[8:10] for ln in lines[1:]] == [["14", "1"],
+                                                              ["32", "1"]]
 
     def test_omitted_keys_take_the_plan_defaults(self, tmp_path):
         from tlpsparse.bench import ExperimentPlan
@@ -739,6 +763,24 @@ class TestSolveNeverCrashes:
         assert code == 2
         assert err.startswith("error: x holds a value that is not finite")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_constrained_weight_overflow_exit_2_and_no_out_file(self,
+                                                                tmp_path):
+        # (a+1) w overflows after the first step; the solve stops
+        # not_finite, with no ridge warning and no LAPACK message
+        A, x0, out = (tmp_path / name for name in ("A.csv", "x0.txt",
+                                                   "o.json"))
+        save_matrix_csv(gen_gaussian(32, 64, 0.0, seed=7), str(A))
+        write_vector(x0, gen_signal(64, 4, seed=8).vector.tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_main(["solve", f"--matrix={A}", f"--truth={x0}",
+                                     "--s=4", "--method=constrained",
+                                     "--a=1e308", f"--out={out}"])
+        assert (code, err) == (2, "error: x holds a value that is not "
+                                  "finite; the solve broke down at these "
+                                  "settings\n")
         assert not out.exists()
 
     @settings(max_examples=200, deadline=None)

@@ -238,6 +238,19 @@ class TestMisc:
         with pytest.raises(ValueError):
             A.entries[0, 0] = 5.0
 
+    def test_matrix_keeps_its_own_copy_of_a_writeable_input(self):
+        a = np.arange(6.0).reshape(2, 3)
+        S = SensingMatrix(entries=a)
+        assert a.flags.writeable
+        a[0, 0] = 5.0
+        assert S.entries[0, 0] == 0.0
+        assert not S.entries.flags.writeable
+
+    def test_matrix_keeps_a_read_only_input_without_a_copy(self):
+        a = np.arange(6.0).reshape(2, 3)
+        a.setflags(write=False)
+        assert SensingMatrix(entries=a).entries is a
+
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
             SensingMatrix(entries=np.array([[np.inf, 1.0]]))
