@@ -13,7 +13,9 @@ Two families are generated:
 All randomness flows through PCG64 seeded explicitly, so regenerating with
 the same arguments is bit-for-bit reproducible.  Both families keep
 their natural column scale, and signals have standard normal nonzeros, as
-in the paper's experiments.  Matrices are immutable after creation.
+in the paper's experiments.  SensingMatrix and SparseSignal each keep a
+read-only copy of the arrays they are given, so the caller's arrays keep
+their flags and later writes to them do not reach the value.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
+
+from .penalty import _finite_number
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -53,19 +57,12 @@ def derive_seed(master: int, *parts) -> int:
 
 @dataclass(frozen=True)
 class SensingMatrix:
-    """Dense measurement matrix with finite entries, read-only.
-
-    A writeable input is copied, so the caller's array stays writeable and
-    later writes to it do not reach the matrix; a read-only float array is
-    kept as it is.
-    """
+    """Dense measurement matrix with finite entries, read-only."""
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.flags.writeable:
-            entries = entries.copy()
+        entries = np.array(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] < 1 or entries.shape[1] < 1:
             raise ValueError("entries must be a nonempty 2-D array")
         if not np.all(np.isfinite(entries)):
@@ -85,14 +82,25 @@ def _as_array(A: SensingMatrix | np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SparseSignal:
-    """Ground-truth vector that is exactly zero off its support."""
+    """Ground-truth vector, finite and exactly zero off its support; the
+    support holds strictly increasing integer indices into the vector."""
 
     vector: np.ndarray
     support: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        vec = np.asarray(self.vector, dtype=float)
-        sup = np.asarray(self.support, dtype=int)
+        vec = np.array(self.vector, dtype=float)
+        if vec.ndim != 1 or not np.all(np.isfinite(vec)):
+            raise ValueError("vector must be a 1-D array of finite values")
+        sup = np.array(self.support)
+        if sup.dtype.kind not in "iu":  # a float would truncate silently
+            raise ValueError(f"support must hold integers, got dtype "
+                             f"{sup.dtype}")
+        sup = sup.astype(int, copy=False)
+        if (sup.ndim != 1 or np.any(np.diff(sup) <= 0)
+                or np.any((sup < 0) | (sup >= vec.size))):
+            raise ValueError(f"support must be strictly increasing indices "
+                             f"in [0, {vec.size})")
         off = np.setdiff1d(np.arange(vec.size), sup)
         if np.any(vec[off] != 0.0):
             raise ValueError("vector has nonzeros off the declared support")
@@ -132,13 +140,12 @@ def gen_gaussian(M: int, N: int, r: float, seed: int) -> SensingMatrix:
         z = rng.standard_normal((M, N))
         g = rng.standard_normal((M, 1))
         entries = np.sqrt(1.0 - r) * z + np.sqrt(r) * g
-        entries.setflags(write=False)  # new, so SensingMatrix need not copy
         return SensingMatrix(entries=entries)
 
 
 def gen_dct(M: int, N: int, F: float, seed: int) -> SensingMatrix:
     """Over-sampled DCT columns sharing one random frequency vector."""
-    if not (F > 0 and math.isfinite(F)):
+    if not (F > 0 and _finite_number(F)):
         raise ValueError(f"frequency parameter F must be positive and "
                          f"finite, got {F!r}")
     with _allocating(M, N):
@@ -150,7 +157,6 @@ def gen_dct(M: int, N: int, F: float, seed: int) -> SensingMatrix:
         w = rng.random(M)
         idx = np.arange(N)
         entries = np.cos(2.0 * np.pi * np.outer(w, idx) / F) / np.sqrt(M)
-        entries.setflags(write=False)  # new, so SensingMatrix need not copy
         return SensingMatrix(entries=entries)
 
 
@@ -222,7 +228,6 @@ def load_matrix_csv(path: str) -> SensingMatrix:
                               path, N, first_line=2)
     if len(entries) != M:
         raise ValueError(f"{path}: expected {M} rows, got {len(entries)}")
-    entries.setflags(write=False)  # new, so SensingMatrix need not copy
     try:
         return SensingMatrix(entries=entries)
     except ValueError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .penalty import PenaltyParams, _pow, penalty_tlp
+from .penalty import PenaltyParams, _finite_number, _pow, penalty_tlp
 
 #: residual target for the scalar root solve
 _ROOT_RESIDUAL = 1e-12
@@ -86,7 +86,7 @@ def solve_eta0(params: PenaltyParams, gamma: float = 1.0) -> float:
     resolve to the residual target (for tiny p, eta^(2/p) jumps by orders
     of magnitude between adjacent floats near eta = 1) raises ValueError.
     """
-    if not 1.0 <= gamma < math.inf:
+    if not (_finite_number(gamma) and gamma >= 1.0):
         raise ValueError(f"gamma must be finite and >= 1, got {gamma!r}")
     p = params.p
     K = _root_rhs(params, gamma)

@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from tlpsparse.sensing import (SensingMatrix, coherence, derive_seed,
-                               gen_dct, gen_gaussian, gen_signal,
+from tlpsparse.sensing import (SensingMatrix, SparseSignal, coherence,
+                               derive_seed, gen_dct, gen_gaussian, gen_signal,
                                load_matrix_csv, save_matrix_csv)
 
 
@@ -62,7 +62,8 @@ class TestDct:
         with pytest.raises(ValueError):
             gen_dct(4, 8, 0.0, seed=0)
 
-    @pytest.mark.parametrize("F", [np.inf, np.nan, -np.inf])
+    @pytest.mark.parametrize("F", [np.inf, np.nan, -np.inf, pytest.param(
+        10 ** 400, id="int-too-large-for-a-float")])
     def test_rejects_non_finite_frequency(self, F):
         with pytest.raises(ValueError, match="F must be positive and finite"):
             gen_dct(4, 8, F, seed=0)
@@ -124,6 +125,26 @@ class TestSignal:
             gen_signal(10, 11, seed=0)
         with pytest.raises(ValueError):
             gen_signal(10, 0, seed=0)
+
+    @pytest.mark.parametrize("vector, support, says", [
+        (np.zeros(10), [100], "support must be strictly increasing indices "
+                              "in [0, 10)"),
+        (np.zeros(10), [-1], "support must be strictly increasing"),
+        ([1.0, 0.0, 0.0], [0, 0], "support must be strictly increasing"),
+        ([0.0, 1.0, 2.0], [2, 1], "support must be strictly increasing"),
+        ([0.0, 1.0, 0.0], [1.5], "support must hold integers, got dtype "
+                                 "float64"),
+        ([0.0, 1.0, 0.0], [False, True], "support must hold integers"),
+        ([np.nan, 0.0, 0.0], [0], "vector must be a 1-D array of finite"),
+        ([np.inf, 0.0, 0.0], [0], "vector must be a 1-D array of finite"),
+        ([[1.0, 0.0], [0.0, 0.0]], [0], "vector must be a 1-D array"),
+        ([1.0, 2.0, 0.0], [0], "vector has nonzeros off the declared support")],
+        ids=["index-past-N", "negative-index", "repeated-index", "decreasing",
+             "float-index", "bool-index", "nan", "inf", "2-D", "off-support"])
+    def test_signal_rejects_what_its_docstring_rules_out(self, vector,
+                                                         support, says):
+        with pytest.raises(ValueError, match=re.escape(says)):
+            SparseSignal(vector=vector, support=support)
 
 
 class TestMatrixCsv:
@@ -232,24 +253,47 @@ class TestMatrixCsv:
         assert np.array_equal(back.view(np.int64), A.view(np.int64))
 
 
+# each array a value type holds, with the caller's array it is built from
+HELD = {
+    "entries": (np.arange(1.0, 7.0).reshape(2, 3),
+                lambda a: SensingMatrix(entries=a).entries),
+    "vector": (np.arange(1.0, 4.0),
+               lambda a: SparseSignal(vector=a, support=np.arange(3)).vector),
+    "support": (np.arange(3),
+                lambda a: SparseSignal(vector=np.ones(3), support=a).support),
+}
+
+
 class TestMisc:
     def test_matrix_is_immutable(self):
         A = gen_gaussian(4, 6, 0.0, seed=1)
         with pytest.raises(ValueError):
             A.entries[0, 0] = 5.0
 
-    def test_matrix_keeps_its_own_copy_of_a_writeable_input(self):
-        a = np.arange(6.0).reshape(2, 3)
-        S = SensingMatrix(entries=a)
-        assert a.flags.writeable
-        a[0, 0] = 5.0
-        assert S.entries[0, 0] == 0.0
-        assert not S.entries.flags.writeable
-
-    def test_matrix_keeps_a_read_only_input_without_a_copy(self):
-        a = np.arange(6.0).reshape(2, 3)
-        a.setflags(write=False)
-        assert SensingMatrix(entries=a).entries is a
+    @pytest.mark.parametrize("form", [
+        "writeable", "read_only", "read_only_view", "list"])
+    @pytest.mark.parametrize("held", HELD)
+    def test_value_types_hold_their_own_read_only_copy(self, held, form):
+        # the caller's flags stay as they were, the value's array is
+        # read-only, and later writes to the caller's memory (through the
+        # writeable parent of a read-only view, or after a read-only
+        # array is made writeable again) do not reach the value
+        want, build = HELD[held]
+        data = want.copy()
+        if form == "list":
+            given = data.tolist()
+        else:
+            given = data.view() if form == "read_only_view" else data
+            given.setflags(write=form == "writeable")
+        value = build(given)
+        assert not value.flags.writeable
+        if form == "list":
+            given[0] = np.full_like(data[0], 7).tolist()
+        else:
+            assert given.flags.writeable == (form == "writeable")
+            data.setflags(write=True)
+            data.flat[0] = 7
+        assert np.array_equal(value, want)
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):

@@ -714,12 +714,14 @@ class TestReweight:
 class TestMetamorphic:
     """Symmetries of all three solvers on 16 x 48 Gaussian problems, at a
     recovering (s = 4) and a failing (s = 7) sparsity.  Sign flips are
-    exact in floating point, so they must hold bit for bit; permutations
-    and rotations hold to rounding."""
+    exact in floating point, so they must hold bit for bit, also on a
+    near-coherent 16 x 48 DCT; permutations and rotations hold to
+    rounding."""
 
     @staticmethod
-    def problem(s):
-        A = gen_gaussian(16, 48, 0.0, seed=5).entries
+    def problem(s, family="gaussian"):
+        A = (gen_gaussian(16, 48, 0.0, seed=5) if family == "gaussian"
+             else gen_dct(16, 48, 20.0, seed=5)).entries
         return A, A @ gen_signal(48, s, seed=6).vector
 
     @staticmethod
@@ -781,16 +783,32 @@ class TestMetamorphic:
         A, y = self.problem(4)
         self.check_same_run("tlp", 4, A, 1e3 * y, lambda x: x / 1e3)
 
-    @pytest.mark.parametrize("s, recovered", [(4, True), (7, False)])
-    @pytest.mark.parametrize("method", SOLVERS)
+    @staticmethod
+    def sign_flip_cases():
+        # the Gaussian problem, where s = 4 recovers and s = 7 fails, and
+        # the DCT at F = 20 (coherence 0.99985), on which the constrained
+        # solver adds its ridge to a singular system
+        ridge = pytest.mark.filterwarnings(
+            "ignore:SPD system is numerically singular:RuntimeWarning")
+        for method in SOLVERS:
+            for s, recovered in [(4, True), (7, False)]:
+                yield pytest.param(method, "gaussian", s, recovered,
+                                   id=f"{method}-{s}-{recovered}")
+            for s in (2, 7):
+                yield pytest.param(
+                    method, "dct", s, None, id=f"{method}-dct-{s}",
+                    marks=[ridge] if method == "constrained" else [])
+
+    @pytest.mark.parametrize("method, family, s, recovered",
+                             sign_flip_cases())
     @settings(max_examples=10, deadline=None)
     @given(flips=st.lists(st.booleans(), min_size=48, max_size=48),
            negate=st.booleans())
     @example(flips=[False] * 48, negate=True)
-    def test_sign_flips_are_exact(self, method, s, recovered, flips,
+    def test_sign_flips_are_exact(self, method, family, s, recovered, flips,
                                   negate):
         # flipping columns j of A flips x_j, and y -> -y gives -x
-        A, y = self.problem(s)
+        A, y = self.problem(s, family)
         d = np.where(flips, -1.0, 1.0)
         sign = -1.0 if negate else 1.0
         base = SOLVERS[method](A, y, s)
@@ -800,8 +818,11 @@ class TestMetamorphic:
             (base.outer_iters, base.total_inner_iters, base.converged)
         assert got.objective_trace == base.objective_trace
         x0 = gen_signal(48, s, seed=6).vector
-        rel = np.linalg.norm(base.x - x0) / np.linalg.norm(x0)
-        assert (rel < 1e-3) == recovered
+        success = [np.linalg.norm(x - truth) / np.linalg.norm(x0) < 1e-3
+                   for x, truth in ((base.x, x0), (got.x, sign * d * x0))]
+        assert success[0] == success[1]
+        if recovered is not None:
+            assert success[0] == recovered
 
     @pytest.mark.parametrize("method", SOLVERS)
     def test_zero_measurements_stop_after_one_step(self, method):

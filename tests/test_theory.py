@@ -74,6 +74,10 @@ class TestEta0:
 
 
 class TestRipBound:
+    def test_rejects_gamma_too_large_for_a_float(self):
+        with pytest.raises(ValueError, match="^gamma must be finite"):
+            rip_bound(PenaltyParams(1.0, 0.7), 10 ** 400)
+
     def test_tl1_value(self):
         bound = rip_bound(PenaltyParams(1.0, 1.0))
         assert bound.delta_bound == pytest.approx(1.0 / math.sqrt(3.0),
