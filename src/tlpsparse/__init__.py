@@ -19,9 +19,8 @@ from .penalty import (PenaltyParams, penalty_lap, penalty_lp, penalty_tlp,
 from .sensing import (SensingMatrix, SparseSignal, coherence, derive_seed,
                       gen_dct, gen_gaussian, gen_signal, load_matrix_csv,
                       save_matrix_csv)
-from .solver import (DcaResult, Schedule, SolveResult, dca_subproblem,
-                     grad_phi_w, irls_constrained, irls_lq_baseline,
-                     irls_tlp)
+from .solver import (Schedule, SolveResult, dca_subproblem, irls_constrained,
+                     irls_lq_baseline, irls_tlp)
 from .theory import (RipBound, StabilityConstants, normalization_beta,
                      rip_bound, solve_eta0, stability_constants)
 
@@ -33,8 +32,8 @@ __all__ = [
     "SensingMatrix", "SparseSignal", "gen_gaussian", "gen_dct",
     "gen_signal", "coherence", "derive_seed", "save_matrix_csv",
     "load_matrix_csv",
-    "Schedule", "SolveResult", "DcaResult", "grad_phi_w",
-    "dca_subproblem", "irls_tlp", "irls_constrained", "irls_lq_baseline",
+    "Schedule", "SolveResult", "dca_subproblem", "irls_tlp",
+    "irls_constrained", "irls_lq_baseline",
 ]
 
 __version__ = "0.1.0"

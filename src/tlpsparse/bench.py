@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .penalty import PenaltyParams, _finite_number
-from .sensing import derive_seed, gen_dct, gen_gaussian, gen_signal
+from .sensing import (_allocating, derive_seed, gen_dct, gen_gaussian,
+                      gen_signal)
 from .solver import (Schedule, _check_number, _check_positive,
                      irls_constrained, irls_lq_baseline, irls_tlp)
 
@@ -104,6 +105,8 @@ class ExperimentPlan:
             raise ValueError("family must be 'gaussian' or 'dct'")
         for name in ("M", "N", "trials"):
             _check_positive(name, getattr(self, name), integral=True)
+        with _allocating(self.M, self.N):  # gen-matrix's size test
+            pass
         _check_number("master_seed", self.master_seed, integral=True)
         _check_number("param", self.param, integral=False)
         # the generators' own ranges, checked here to name the plan key

@@ -15,7 +15,8 @@ the same arguments is bit-for-bit reproducible.  Both families keep
 their natural column scale, and signals have standard normal nonzeros, as
 in the paper's experiments.  SensingMatrix and SparseSignal each keep a
 read-only copy of the arrays they are given, so the caller's arrays keep
-their flags and later writes to them do not reach the value.
+their flags and later writes to them do not reach the value.  Both
+compare and hash by identity; compare their arrays with np.array_equal.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def derive_seed(master: int, *parts) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensingMatrix:
     """Dense measurement matrix with finite entries, read-only."""
 
@@ -80,7 +81,7 @@ def _as_array(A: SensingMatrix | np.ndarray) -> np.ndarray:
     return A.entries if isinstance(A, SensingMatrix) else np.asarray(A, float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseSignal:
     """Ground-truth vector, finite and exactly zero off its support; the
     support holds strictly increasing integer indices into the vector."""

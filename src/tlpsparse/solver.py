@@ -107,7 +107,7 @@ def _weights(x: np.ndarray, eps: float, kappa: float,
     return (x * x + eps ** kappa) ** ((exponent - 2.0) / 2.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveResult:
     """Outcome of one solver run, with enough traces to audit it.
 
@@ -123,7 +123,8 @@ class SolveResult:
     per solver: tlp its DCA steps (one SPD solve each), lq one ridge
     solve per outer step, and constrained one weighted least-squares
     solve per outer step plus, under ``exact_update``, the L-BFGS
-    iterations of its polishes.
+    iterations of its polishes.  Results, like ``DcaResult``, compare and
+    hash by identity.
     """
 
     solver: str
@@ -146,7 +147,7 @@ class SolveResult:
         return d
 
 
-@dataclass
+@dataclass(eq=False)
 class DcaResult:
     """Inner-loop outcome: last iterate, its residual y - A x as the SPD
     solve left it, and the recorded f_w values."""
@@ -178,12 +179,6 @@ def grad_phi_w(params: PenaltyParams, w: np.ndarray, x: np.ndarray) -> np.ndarra
     axp = ax ** p
     return w * np.sign(x) * ax ** (p + 1) * ((p + 2.0) * a + 2.0 * axp) \
         / (a * (a + axp) ** 2)
-
-
-def phi_w(params: PenaltyParams, w: np.ndarray, x: np.ndarray) -> float:
-    a, p = params.a, params.p
-    ax = np.abs(x)
-    return float(np.sum(w * ax ** (p + 2) / (a * (a + ax ** p))))
 
 
 def _f_w_res(params: PenaltyParams, lam: float, w: np.ndarray, x: np.ndarray,
@@ -371,17 +366,19 @@ def _reweight(A: np.ndarray, y: np.ndarray, s: int, cfg: Schedule,
     the (s+1)-th largest magnitude over delta_scale (Daubechies, DeVore,
     Fornasier and Güntürk, CPAM 2010; Lai, Xu and Yin, SINUM 2013).  This
     caps the weights (||w||_inf <= eps^(-kappa(2-exponent)/2)) and anneals
-    the surrogate toward the true penalty.  If eps^kappa reaches exactly
-    zero the iterate is frozen.  A step returns ``(x_new, objective,
-    inner_iters)``: the new iterate, the solver's objective at a point of
-    its choosing, and the inner iterations it ran.
+    the surrogate toward the true penalty.  If eps^kappa underflows to
+    zero the iterate is frozen and the run stops.  A step returns
+    ``(x_new, objective, inner_iters)``: the new iterate, the solver's
+    objective at a point of its choosing, and the inner iterations it ran.
 
     Statuses: ``not_finite`` as soon as a step returns an x holding a NaN
     or an infinity, ``sparsity_reached`` when r(x)_{s+1} < outer_tol_mag
-    (or eps froze), ``step_converged`` when the iteration stalls,
-    ``max_iters`` at outer_max.  The stall test is the one deliberate difference between
-    the solvers.  By default the tail magnitude stagnates, |r - r_old| <
-    outer_tol_step max(r_old, 1), tested after the sparsity test.  With
+    (or when eps^kappa is zero at the start, where x = 0),
+    ``step_converged`` when the iteration stalls (or when eps^kappa
+    underflows after a step), ``max_iters`` at outer_max.  The stall test
+    is the one deliberate difference between the solvers.  By default the
+    tail magnitude stagnates, |r - r_old| < outer_tol_step max(r_old, 1),
+    tested after the sparsity test.  With
     ``stop_on_step`` the sup-norm step falls below outer_tol_step, tested
     first.
 
@@ -404,7 +401,9 @@ def _reweight(A: np.ndarray, y: np.ndarray, s: int, cfg: Schedule,
     w_inf_trace: list[float] = []
     for _ in range(cfg.outer_max):
         if eps ** cfg.kappa == 0.0:
-            status = "sparsity_reached"
+            # eps froze: x = 0 at the start is that sparse, while a step
+            # whose tail failed the sparsity test has stalled
+            status = "step_converged" if eps_trace else "sparsity_reached"
             break
         eps_trace.append(eps)
         w = _weights(x, eps, cfg.kappa, exponent)
@@ -477,15 +476,6 @@ def j_closed_form(params: PenaltyParams, x: np.ndarray, eps: float,
     a, p = params.a, params.p
     return float((a + 1.0) * np.sum(
         (x * x + eps ** kappa) ** (p / 2.0) / (a + np.abs(x) ** p)))
-
-
-def j_functional(params: PenaltyParams, x: np.ndarray, omega: np.ndarray,
-                 eps: float, kappa: float) -> float:
-    """Full surrogate functional at arbitrary positive weights omega."""
-    a, p = params.a, params.p
-    num = (x * x + eps ** kappa) / (a + np.abs(x) ** p) ** (2.0 / p)
-    return float(0.5 * p * (a + 1.0) * np.sum(
-        num * omega + (2.0 - p) / p * omega ** (-p / (2.0 - p))))
 
 
 def _constrained_ls(A: np.ndarray, y: np.ndarray, dvec: np.ndarray) -> np.ndarray:

@@ -15,9 +15,10 @@ from tlpsparse.bench import SolverSpec
 from tlpsparse.penalty import PenaltyParams, relaxation_degree, rho
 from tlpsparse.sensing import coherence, derive_seed, gen_dct, gen_gaussian, gen_signal
 from tlpsparse.solver import (Schedule, dca_subproblem, grad_phi_w,
-                              irls_constrained, irls_lq_baseline, irls_tlp,
-                              phi_w)
+                              irls_constrained, irls_lq_baseline, irls_tlp)
 from tlpsparse.theory import rip_bound, solve_eta0
+
+from oracles import phi_w
 
 MASTER_SEED = 1234
 

@@ -614,6 +614,22 @@ class TestBench:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["success_rate", "sweep"])
+    @pytest.mark.parametrize("M, N", [(2 ** 32, 2 ** 32), (2, 2 ** 61)])
+    def test_plan_too_large_fails_when_parsed(self, tmp_path, kind, M, N):
+        # gen-matrix's size test, applied when the plan is built rather
+        # than when its first trial generates the matrix
+        d = {**self.plan_dict(), "M": M, "N": N}
+        if kind == "sweep":
+            del d["sparsities"], d["solvers"]
+            d.update(kind="sweep", sparsity=1, a_grid=[1.0], p_grid=[0.7])
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=(
+                f"an M x N matrix of floats does not fit in memory at "
+                f"M={M}, N={N}")):
+            parse_plan_file(str(plan))
+
 
 class TestTheoryCommands:
     def test_rip_bound_tl1(self, capsys):

@@ -16,7 +16,9 @@ from tlpsparse.solver import (Schedule, _constrained_ls, _f_w_res, _reweight,
                               dca_subproblem, f_w_value,
                               grad_f_w, grad_phi_w, irls_constrained,
                               irls_lq_baseline, irls_tlp, j_closed_form,
-                              j_functional, phi_w, tail_magnitude)
+                              tail_magnitude)
+
+from oracles import j_functional, phi_w
 
 
 class TestTailMagnitude:
@@ -305,10 +307,12 @@ class TestScaledGram:
 
 
 SOLVERS = {
-    "tlp": lambda A, y, s=1: irls_tlp(A, y, PenaltyParams(1, 0.7), s),
-    "lq": lambda A, y, s=1: irls_lq_baseline(A, y, 0.5, s),
-    "constrained": lambda A, y, s=1: irls_constrained(
-        A, y, PenaltyParams(1, 0.7), s),
+    "tlp": lambda A, y, s=1, cfg=Schedule(): irls_tlp(
+        A, y, PenaltyParams(1, 0.7), s, cfg),
+    "lq": lambda A, y, s=1, cfg=Schedule(): irls_lq_baseline(
+        A, y, 0.5, s, cfg),
+    "constrained": lambda A, y, s=1, cfg=Schedule(): irls_constrained(
+        A, y, PenaltyParams(1, 0.7), s, cfg),
 }
 
 
@@ -709,6 +713,19 @@ class TestReweight:
         run = self.reweight(cfg, self.alternate)
         assert (run.outer_iters, run.converged) == (0, "sparsity_reached")
         assert np.array_equal(run.x, np.zeros(4)) and run.eps_trace == []
+
+    @pytest.mark.parametrize("kappa", [3, 50, 200, 400])
+    @pytest.mark.parametrize("method", SOLVERS)
+    def test_sparsity_reached_means_a_small_tail(self, method, kappa):
+        # from kappa = 50 on, eps^kappa underflows after a step whose tail
+        # failed the sparsity test (0.16-0.22 at kappa = 400): that run
+        # has stalled, it has not reached sparsity
+        A = gen_gaussian(32, 64, 0.0, seed=3).entries
+        y = A @ gen_signal(64, 5, seed=4).vector
+        cfg = Schedule(kappa=kappa)
+        res = SOLVERS[method](A, y, 5, cfg)
+        if res.converged == "sparsity_reached":
+            assert tail_magnitude(res.x, 5) < cfg.outer_tol_mag
 
 
 class TestMetamorphic:
