@@ -5,7 +5,11 @@ File formats
 * matrices: the plain-text CSV of :mod:`tlpsparse.sensing` — header line
   "M,N", then M comma-separated rows, 17 significant digits (``%.17g``);
   the reader is numpy's C parser, so values read back bit for bit, and
-  :func:`~tlpsparse.sensing.load_matrix_csv` lists the accepted forms;
+  :func:`~tlpsparse.sensing.load_matrix_csv` lists the accepted forms.
+  The last matrix read is kept, keyed by the SHA-256 of its text: a
+  solve on an unchanged file gets the same read-only matrix without
+  parsing it again, and a changed file is always parsed again.  This
+  holds one M x N float matrix until a different file is read;
 * vectors: plain text, one value per line, values as in matrices
   (:func:`~tlpsparse.sensing.load_vector`);
 * solve results: JSON with the recovered vector and all traces;
@@ -26,6 +30,7 @@ trials serially.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -338,8 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` uses, built on first use.  Parsing keeps
+    no state in the parser: each call fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DimensionError as exc:

@@ -200,6 +200,19 @@ def save_matrix_csv(A: SensingMatrix | np.ndarray, path: str) -> None:
             fh.write(row_fmt % tuple(row.tolist()))
 
 
+# The last matrix load_matrix_csv parsed, as (SHA-256 of its text, matrix).
+# One tuple, replaced whole, so a reader never pairs one key with another
+# text's matrix and at most one entry is held, without a lock.
+_last_read: tuple[bytes, SensingMatrix] | None = None
+
+
+def _hashed(lines, sha):
+    """Yield ``lines`` unchanged, feeding each to ``sha`` first."""
+    for line in lines:
+        sha.update(line.encode())
+        yield line
+
+
 def load_matrix_csv(path: str) -> SensingMatrix:
     """Parse the format written by :func:`save_matrix_csv`.
 
@@ -213,10 +226,31 @@ def load_matrix_csv(path: str) -> SensingMatrix:
     Blank lines are skipped and CRLF endings accepted.  Any malformed file
     raises ValueError naming the path, and a bad row also its 1-based line
     (counting the header and blank lines).
+
+    The last matrix read is kept, keyed by the SHA-256 of its text (as
+    decoded for the parser, so a CRLF copy has the key of its LF twin).
+    Reading a file whose text has that key returns the same read-only
+    matrix without parsing it again; a file whose text changed is always
+    parsed again, whatever its size or modification time.  Each call
+    still reads and hashes the whole file.  The memory this costs is one
+    M x N float matrix, held until a different file is read; a file that
+    fails to parse leaves nothing held.
     """
+    global _last_read
+    last = _last_read
+    if last is not None:  # with nothing held, no hash can hit
+        sha = hashlib.sha256()
+        with open(path, "r", encoding="ascii", errors="replace") as fh:
+            for _ in _hashed(fh, sha):
+                pass
+        if last[0] == sha.digest():
+            return last[1]
+        _last_read = None  # hold no second matrix while this one is parsed
+    sha = hashlib.sha256()
     # a non-ASCII byte becomes U+FFFD, so it fails to parse on its line
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        header = fh.readline().strip()
+        lines = _hashed(fh, sha)
+        header = next(lines, "").strip()
         try:
             if "_" in header:  # int() takes "2_0", as float() takes "1_0"
                 raise ValueError(header)
@@ -225,14 +259,17 @@ def load_matrix_csv(path: str) -> SensingMatrix:
                 raise ValueError(header)
         except ValueError as exc:
             raise ValueError(f"bad matrix header {header!r} in {path}") from exc
-        entries = _parse_rows((ln for ln in fh if not ln.isspace()),
+        entries = _parse_rows((ln for ln in lines if not ln.isspace()),
                               path, N, first_line=2)
     if len(entries) != M:
         raise ValueError(f"{path}: expected {M} rows, got {len(entries)}")
     try:
-        return SensingMatrix(entries=entries)
+        matrix = SensingMatrix(entries=entries)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    # keyed by the lines this parse read, should the file have changed
+    _last_read = (sha.digest(), matrix)
+    return matrix
 
 
 def load_vector(path: str) -> np.ndarray:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import tlpsparse
 from tlpsparse.bench import (METHODS, ExperimentPlan, SolverSpec,
                              run_experiment)
-from tlpsparse.cli import main, parse_plan_file
+from tlpsparse.cli import build_parser, main, parse_plan_file
 from tlpsparse.sensing import (gen_gaussian, gen_signal, load_matrix_csv,
                                save_matrix_csv)
 from tlpsparse.solver import Schedule
@@ -258,6 +258,27 @@ class TestSolve:
         p1.pop("wall_time_ms")
         p2.pop("wall_time_ms")
         assert p1 == p2
+
+    def test_hit_and_miss_write_the_same_json(self, tmp_path):
+        # load_matrix_csv keeps the last matrix read: the first solve after
+        # another file was read parses its matrix, the next one reuses it
+        matrix, other = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_matrix_csv(gen_gaussian(16, 48, 0.0, seed=3), str(matrix))
+        save_matrix_csv(np.eye(2), str(other))
+        truth = tmp_path / "x0.txt"
+        write_vector(truth, gen_signal(48, 3, seed=4).vector.tolist())
+        for method in METHODS:
+            outs = [tmp_path / f"{method}.{n}.json" for n in range(2)]
+            load_matrix_csv(str(other))
+            for out in outs:  # a miss, then a hit
+                assert main(["solve", "--matrix", str(matrix), "--truth",
+                             str(truth), "--s", "3", "--method", method,
+                             "--out", str(out)]) == 0
+            assert load_matrix_csv(str(matrix)) is load_matrix_csv(
+                str(matrix))
+            miss, hit = (without_wall_time(out.read_text()) for out in outs)
+            assert len(miss) == len(outs[0].read_text().splitlines()) - 1
+            assert miss == hit, method
 
     def test_every_knob_has_a_flag_and_a_plan_key(self, tmp_path,
                                                   identity_matrix, capsys):
@@ -672,6 +693,58 @@ def run_main(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_fresh_parser(argv):
+    """As run_main, but through a parser built for this call alone."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def without_wall_time(text):
+    """solve's indented JSON minus its one wall_time_ms line."""
+    return [ln for ln in text.splitlines() if '"wall_time_ms"' not in ln]
+
+
+class TestOneParserPerProcess:
+    def test_reused_parser_acts_as_a_fresh_one(self, tmp_path,
+                                               identity_matrix):
+        y = tmp_path / "y.txt"
+        write_vector(y, [0.0, 2.0, 0.0, 0.0])
+        solve = ["solve", "--matrix", str(identity_matrix),
+                 "--measurements", str(y), "--s", "1"]
+        usage_errors = [
+            ["rip-bound", "--a", "1"],
+            ["solve", "--matrix", "A.csv", "--kappa", "x"],
+            ["rd", "--kind", "l2", "--a", "1", "--p", "1", "--N", "4"],
+            ["solve", "--matrix", "A.csv", "--truth", "x", "--measurements",
+             "y"]]
+        calls = [
+            ["rip-bound", "--a", "1", "--p", "0.7", "--delta2s", "0.2"],
+            ["rip-bound", "--a", "2", "--p", "1"],
+            ["rd", "--kind", "lap", "--a", "5", "--p", "0.7", "--N", "512"],
+            solve + ["--method", "lq", "--kappa", "5", "--lambda", "1e-4"],
+            solve,
+            ["rd", "--kind", "tlp", "--a", "5", "--p", "0.7", "--N", "512"]]
+        for bad, argv in itertools.product(usage_errors, calls):
+            said = []
+            for parse in (main, build_parser().parse_args):
+                err = io.StringIO()
+                with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+                    parse(bad)
+                assert exc.value.code == 2
+                said.append(err.getvalue())
+            assert said[0] == said[1] and said[0].startswith("usage: "), bad
+            code, out, err = run_main(argv)
+            want = run_fresh_parser(argv)
+            assert (code, without_wall_time(out), err) == (
+                want[0], without_wall_time(want[1]), want[2]), argv
+        # what an earlier call set does not carry over
+        assert "C0" not in json.loads(run_main(calls[1])[1])
+        assert json.loads(run_main(solve)[1])["rel_err"] is None
 
 
 # an exit-2 message names what it rejects, as "name must ..." or "name=..."

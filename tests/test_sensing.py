@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -251,6 +252,77 @@ class TestMatrixCsv:
         back = load_matrix_csv(str(path)).entries
         assert back.shape == shape
         assert np.array_equal(back.view(np.int64), A.view(np.int64))
+
+
+def bits(a):
+    """The bytes of a float array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestMatrixCsvCache:
+    """load_matrix_csv keeps the last matrix read, keyed by its text."""
+
+    @staticmethod
+    def fresh(path):
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+    def test_hit_returns_the_same_read_only_matrix(self, tmp_path):
+        A = np.random.default_rng(3).standard_normal((5, 7))
+        A[1, 2], A[3, 0] = -0.0, 0.0
+        path = tmp_path / "a.csv"
+        save_matrix_csv(A, str(path))
+        first = load_matrix_csv(str(path))
+        again = load_matrix_csv(str(path))
+        assert again is first
+        assert not again.entries.flags.writeable
+        assert np.array_equal(bits(again.entries), bits(self.fresh(path)))
+        assert np.signbit(again.entries[1, 2])
+        assert not np.signbit(again.entries[3, 0])
+
+    def test_key_is_the_text_not_size_or_mtime(self, tmp_path):
+        path = tmp_path / "a.csv"
+        old, new = "2,2\n1.5,2.5\n3.5,4.5\n", "2,2\n-0.,7.5\n8.5,9.5\n"
+        assert len(old) == len(new)
+        path.write_text(old)
+        stat = path.stat()
+        first = load_matrix_csv(str(path))
+        # same length, same mtime, other values (one of them a signed zero)
+        with open(path, "r+", encoding="ascii") as fh:
+            fh.write(new)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+        second = load_matrix_csv(str(path))
+        assert second is not first
+        assert np.array_equal(bits(second.entries),
+                              bits([[-0.0, 7.5], [8.5, 9.5]]))
+        assert np.array_equal(first.entries, [[1.5, 2.5], [3.5, 4.5]])
+
+    def test_malformed_file_is_never_cached(self, tmp_path):
+        # the same error on every call, and a good text read after a bad
+        # one is parsed again: nothing stale is held
+        path = tmp_path / "a.csv"
+        good, other = "2,2\n1,2\n3,4\n", "2,2\n5,6\n7,8\n"
+        bad = "2,2\n1,2\n3,x\n"
+        says = f"^{re.escape(str(path))}:3: bad value 'x'$"
+        for text in (good, bad, bad, bad, good, bad, other):
+            path.write_text(text)
+            if text == bad:
+                with pytest.raises(ValueError, match=says):
+                    load_matrix_csv(str(path))
+            else:
+                back = load_matrix_csv(str(path)).entries
+                assert np.array_equal(bits(back), bits(self.fresh(path)))
+
+    def test_crlf_copy_loads_equal_values(self, tmp_path):
+        A = np.random.default_rng(4).standard_normal((4, 3))
+        A[0, 0] = -0.0
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        save_matrix_csv(A, str(lf))
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        for path in (lf, crlf, lf, crlf):
+            assert np.array_equal(bits(load_matrix_csv(str(path)).entries),
+                                  bits(A))
 
 
 # each array a value type holds, with the caller's array it is built from

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tlpsparse.penalty import PenaltyParams, penalty_tlp
+from tlpsparse.sensing import coherence, gen_gaussian
 from tlpsparse.theory import (normalization_beta, rip_bound, solve_eta0,
                               stability_constants)
 
@@ -117,6 +118,46 @@ class TestRipBound:
         vals = [rip_bound(PenaltyParams(a, p)).delta_bound
                 for a in (0.1, 1.0, 10.0, 100.0, 1e4, 1e8)]
         assert all(x < y for x, y in zip(vals, vals[1:]))
+
+
+def sampled_ric(A, k, supports, seed):
+    """A lower bound on the restricted isometry constant delta_k of A with
+    unit-norm columns: the largest |eigenvalue - 1| of the k x k Gram
+    matrices of ``supports`` random k-column supports, drawn by PCG64
+    from ``seed``.  Certifying delta_k from above is NP-hard."""
+    cols = (A / np.linalg.norm(A, axis=0)).T
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(supports // 1000):  # 1000 Gram matrices at a time
+        sub = cols[[rng.choice(len(cols), k, replace=False)
+                    for _ in range(1000)]]
+        ev = np.linalg.eigvalsh(sub @ sub.transpose(0, 2, 1))
+        worst = max(worst, 1.0 - ev[:, 0].min(), ev[:, -1].max() - 1.0)
+    return float(worst)
+
+
+class TestBoundOnTheDeskMatrix:
+    """The README's table of the bound next to the experiments: on the
+    shipped plans' 64 x 256 Gaussian family drawn at their master seed,
+    sampled at seed 0 with 20000 supports per size, the (1, 0.7) bound
+    certifies at most s = 1."""
+
+    A = gen_gaussian(64, 256, 0.0, 1234).entries
+
+    def test_delta2_is_the_coherence_between_the_bounds(self):
+        # two unit columns at |cos| c have Gram eigenvalues 1 +- c
+        delta2 = coherence(self.A)
+        assert sampled_ric(self.A, 2, 20000, seed=0) <= delta2
+        assert (rip_bound(PenaltyParams(0.1, 0.7)).delta_bound < delta2
+                < rip_bound(PenaltyParams(1.0, 0.7)).delta_bound)
+
+    def test_sampled_delta4_exceeds_the_a7_bound(self):
+        delta4 = sampled_ric(self.A, 4, 20000, seed=0)
+        assert delta4 > rip_bound(PenaltyParams(1.0, 0.7)).delta_bound
+
+    def test_sampled_delta8_exceeds_every_bound(self):
+        # every bound lies in (0, 1), so no (a, p) certifies s = 4
+        assert sampled_ric(self.A, 8, 20000, seed=0) > 1.0
 
 
 def transcribe_c1(bound, delta2s):
