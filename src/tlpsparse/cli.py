@@ -6,10 +6,13 @@ File formats
   "M,N", then M comma-separated rows, 17 significant digits (``%.17g``);
   the reader is numpy's C parser, so values read back bit for bit, and
   :func:`~tlpsparse.sensing.load_matrix_csv` lists the accepted forms.
-  The last matrix read is kept, keyed by the SHA-256 of its text: a
-  solve on an unchanged file gets the same read-only matrix without
-  parsing it again, and a changed file is always parsed again.  This
-  holds one M x N float matrix until a different file is read;
+  The last matrix read or written is kept, keyed by the SHA-256 of its
+  text: a solve on an unchanged file gets the same read-only matrix
+  without parsing it, also on the first read of a file gen-matrix wrote
+  in the same process, and a changed file is always parsed again.  A
+  separate ``tlpsparse solve`` process parses the file as before.  This
+  holds at most one M x N float matrix, until a different file is read
+  or written;
 * vectors: plain text, one value per line, values as in matrices
   (:func:`~tlpsparse.sensing.load_vector`);
 * solve results: JSON with the recovered vector and all traces;
@@ -148,12 +151,13 @@ def cmd_solve(args) -> int:
     payload["rel_err"] = (
         float(np.linalg.norm(result.x - truth) / np.linalg.norm(truth))
         if truth is not None and np.any(truth) else None)
-    for key, value in payload.items():
-        if not _finite(value):
-            raise ValueError(f"{key} holds a value that is not finite; the "
-                             f"solve broke down at these settings")
-    _write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n",
-                args.out)
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:  # a NaN or infinity; name the first key holding one
+        key = next(k for k, v in payload.items() if not _finite(v))
+        raise ValueError(f"{key} holds a value that is not finite; the "
+                         f"solve broke down at these settings") from None
+    _write_text(text + "\n", args.out)
     return 0
 
 

@@ -184,25 +184,10 @@ def gen_signal(N: int, s: int, seed: int) -> SparseSignal:
     return SparseSignal(vector=vec, support=np.sort(support))
 
 
-def save_matrix_csv(A: SensingMatrix | np.ndarray, path: str) -> None:
-    """Write the plain-text matrix format: header line "M,N", then M rows.
-
-    Values carry 17 significant digits (``%.17g``, the bytes of
-    ``f"{v:.17g}"``), enough for exact float64 round-trips.  One row is
-    formatted at a time, so memory stays at one row of text.
-    """
-    entries = _as_array(A)
-    M, N = entries.shape
-    row_fmt = ",".join(["%.17g"] * N) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{M},{N}\n")
-        for row in entries:
-            fh.write(row_fmt % tuple(row.tolist()))
-
-
-# The last matrix load_matrix_csv parsed, as (SHA-256 of its text, matrix).
-# One tuple, replaced whole, so a reader never pairs one key with another
-# text's matrix and at most one entry is held, without a lock.
+# The last matrix load_matrix_csv parsed or save_matrix_csv wrote, as
+# (SHA-256 of its text, matrix).  One tuple, replaced whole, so a reader
+# never pairs one key with another text's matrix and at most one entry is
+# held, without a lock.
 _last_read: tuple[bytes, SensingMatrix] | None = None
 
 
@@ -211,6 +196,45 @@ def _hashed(lines, sha):
     for line in lines:
         sha.update(line.encode())
         yield line
+
+
+def save_matrix_csv(A: SensingMatrix | np.ndarray, path: str) -> None:
+    """Write the plain-text matrix format: header line "M,N", then M rows.
+
+    Values carry 17 significant digits (``%.17g``, the bytes of
+    ``f"{v:.17g}"``), enough for exact float64 round-trips.  One row is
+    formatted at a time, so memory stays at one row of text.
+
+    ``A`` is checked as a :class:`SensingMatrix` before ``path`` is
+    opened: an array that is not a nonempty 2-D array of finite values
+    raises ValueError naming the path, and the file is neither created
+    nor truncated.  A SensingMatrix is used as it is; any other array
+    costs one copy, the SensingMatrix it becomes.
+
+    Writing a file also holds its matrix for :func:`load_matrix_csv`,
+    keyed by the SHA-256 of the text written, so a read of the unchanged
+    file in this process returns that matrix without parsing it; another
+    process parses the file as usual.  Only what a parse would give is
+    held (C order), at most one matrix in all, and a failed write holds
+    nothing.
+    """
+    global _last_read
+    _last_read = None
+    try:
+        matrix = (A if isinstance(A, SensingMatrix)
+                  else SensingMatrix(entries=A))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    M, N = matrix.shape
+    row_fmt = ",".join(["%.17g"] * N) + "\n"
+    rows = (row_fmt % tuple(row.tolist()) for row in matrix.entries)
+    sha = hashlib.sha256()
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(_hashed(itertools.chain((f"{M},{N}\n",), rows), sha))
+    # the parser's result is C-ordered; another layout could round
+    # differently in BLAS, so only a matrix a parse would equal is held
+    if matrix.entries.flags.c_contiguous:
+        _last_read = (sha.digest(), matrix)
 
 
 def load_matrix_csv(path: str) -> SensingMatrix:
@@ -227,14 +251,16 @@ def load_matrix_csv(path: str) -> SensingMatrix:
     raises ValueError naming the path, and a bad row also its 1-based line
     (counting the header and blank lines).
 
-    The last matrix read is kept, keyed by the SHA-256 of its text (as
-    decoded for the parser, so a CRLF copy has the key of its LF twin).
-    Reading a file whose text has that key returns the same read-only
-    matrix without parsing it again; a file whose text changed is always
-    parsed again, whatever its size or modification time.  Each call
-    still reads and hashes the whole file.  The memory this costs is one
-    M x N float matrix, held until a different file is read; a file that
-    fails to parse leaves nothing held.
+    The last matrix read, or written by :func:`save_matrix_csv`, is kept,
+    keyed by the SHA-256 of its text (as decoded for the parser, so a CRLF
+    copy has the key of its LF twin).  Reading a file whose text has that
+    key returns the same read-only matrix without parsing it; a file
+    whose text changed is always parsed again, whatever its size or
+    modification time.  Each call still reads and hashes the whole file.
+    The matrix is held in this process only: a file written by another
+    process is parsed on its first read here.  The memory this costs is
+    one M x N float matrix, held until a different file is read or
+    written; a file that fails to parse leaves nothing held.
     """
     global _last_read
     last = _last_read

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from typing import Callable
 
@@ -142,9 +142,18 @@ class SolveResult:
     final_grad_inf: float | None = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["x"] = [float(v) for v in self.x]
+        """The fields in order, as JSON values: x a list of floats, the
+        traces fresh lists of the same values."""
+        d = {f.name: _fresh(getattr(self, f.name)) for f in fields(self)}
+        d["x"] = self.x.tolist()
         return d
+
+
+def _fresh(value):
+    """A (nested) list copied list by list, any other value as it is."""
+    if not isinstance(value, list):
+        return value
+    return [_fresh(v) if isinstance(v, list) else v for v in value]
 
 
 @dataclass(eq=False)

@@ -1,9 +1,12 @@
-"""Reference formulas that the tests check the package against.
+"""Reference formulas and code that the tests check the package against.
 
 No package code calls these: the solvers use only their gradients or
-closed forms, so the formulas live here, next to the tests that compare
-those against them.
+closed forms, and ``SolveResult.to_dict`` builds its dict without the
+deep copy of ``solve_result_dict``, so the references live here, next to
+the tests that compare those against them.
 """
+
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,3 +27,11 @@ def j_functional(params, x: np.ndarray, omega: np.ndarray, eps: float,
     num = (x * x + eps ** kappa) / (a + np.abs(x) ** p) ** (2.0 / p)
     return float(0.5 * p * (a + 1.0) * np.sum(
         num * omega + (2.0 - p) / p * omega ** (-p / (2.0 - p))))
+
+
+def solve_result_dict(result) -> dict:
+    """``SolveResult.to_dict`` by ``dataclasses.asdict``, a deep copy of
+    every field, with x as a list of floats."""
+    d = asdict(result)
+    d["x"] = [float(v) for v in result.x]
+    return d

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tlpsparse
+from tlpsparse import sensing
 from tlpsparse.bench import (METHODS, ExperimentPlan, SolverSpec,
                              run_experiment)
 from tlpsparse.cli import build_parser, main, parse_plan_file
@@ -279,6 +280,28 @@ class TestSolve:
             miss, hit = (without_wall_time(out.read_text()) for out in outs)
             assert len(miss) == len(outs[0].read_text().splitlines()) - 1
             assert miss == hit, method
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_solve_after_gen_matrix_parses_nothing(self, tmp_path, method):
+        # gen-matrix holds the matrix it wrote, and the solve after it gets
+        # that matrix; its JSON is the JSON of a solve that parses the file
+        matrix, truth = tmp_path / "a.csv", tmp_path / "x0.txt"
+        outs = [tmp_path / f"{n}.json" for n in range(2)]
+        write_vector(truth, gen_signal(48, 3, seed=4).vector.tolist())
+        assert main(["gen-matrix", "--family", "gaussian", "--M", "16",
+                     "--N", "48", "--param", "0.0", "--seed", "3",
+                     "--out", str(matrix)]) == 0
+        held = sensing._last_read[1]
+        solve = ["solve", "--matrix", str(matrix), "--truth", str(truth),
+                 "--s", "3", "--method", method, "--out"]
+        assert main(solve + [str(outs[0])]) == 0
+        assert sensing._last_read[1] is held
+        sensing._last_read = None
+        assert main(solve + [str(outs[1])]) == 0
+        assert sensing._last_read[1] is not held
+        held_json, parsed_json = (without_wall_time(out.read_text())
+                                  for out in outs)
+        assert held_json == parsed_json
 
     def test_every_knob_has_a_flag_and_a_plan_key(self, tmp_path,
                                                   identity_matrix, capsys):

@@ -3,7 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from tlpsparse import sensing
 from tlpsparse.sensing import (SensingMatrix, SparseSignal, coherence,
                                derive_seed, gen_dct, gen_gaussian, gen_signal,
                                load_matrix_csv, save_matrix_csv)
@@ -148,12 +152,19 @@ class TestSignal:
             SparseSignal(vector=vector, support=support)
 
 
+def drop_held():
+    """Forget the matrix the last save or load held, so the next load
+    parses its file."""
+    sensing._last_read = None
+
+
 class TestMatrixCsv:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(21)
         A = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-8, 9, (7, 5))
         path = tmp_path / "a.csv"
         save_matrix_csv(A, str(path))
+        drop_held()
         back = load_matrix_csv(str(path))
         assert np.array_equal(back.entries, A)
         assert back.shape == (7, 5)
@@ -239,6 +250,7 @@ class TestMatrixCsv:
         expected = "2,17\n" + "".join(
             ",".join(f"{v:.17g}" for v in row) + "\n" for row in A)
         assert path.read_bytes() == expected.encode("ascii")
+        drop_held()
         back = load_matrix_csv(str(path)).entries
         assert np.array_equal(back.view(np.int64), A.view(np.int64))
 
@@ -249,9 +261,25 @@ class TestMatrixCsv:
         A.flat[0] = -0.0
         path = tmp_path / "a.csv"
         save_matrix_csv(A, str(path))
+        drop_held()
         back = load_matrix_csv(str(path)).entries
         assert back.shape == shape
         assert np.array_equal(back.view(np.int64), A.view(np.int64))
+
+    @pytest.mark.parametrize("A, says", [
+        ([[np.nan, 1.0]], "entries must be finite"),
+        (np.empty((0, 3)), "entries must be a nonempty 2-D array"),
+        (np.ones(3), "entries must be a nonempty 2-D array")],
+        ids=["nan", "no_rows", "1d"])
+    def test_writer_rejects_what_the_reader_would(self, tmp_path, A, says):
+        # checked before the path is opened: no file is made, none cut
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("1,1\n7\n")
+        for path in (new, old):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {says}")):
+                save_matrix_csv(A, str(path))
+        assert not new.exists()
+        assert old.read_text() == "1,1\n7\n"
 
 
 def bits(a):
@@ -271,6 +299,7 @@ class TestMatrixCsvCache:
         A[1, 2], A[3, 0] = -0.0, 0.0
         path = tmp_path / "a.csv"
         save_matrix_csv(A, str(path))
+        drop_held()
         first = load_matrix_csv(str(path))
         again = load_matrix_csv(str(path))
         assert again is first
@@ -319,10 +348,94 @@ class TestMatrixCsvCache:
         A[0, 0] = -0.0
         lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
         save_matrix_csv(A, str(lf))
+        drop_held()
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
         for path in (lf, crlf, lf, crlf):
             assert np.array_equal(bits(load_matrix_csv(str(path)).entries),
                                   bits(A))
+
+
+# the values %.17g and the parser find hardest: signed zeros, the smallest
+# subnormals and the largest finite doubles
+EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308])
+
+
+class TestMatrixCsvWriteThrough:
+    """save_matrix_csv holds the matrix it wrote, keyed by the text it
+    wrote, so the next load of the unchanged file parses nothing."""
+
+    def test_load_after_save_returns_the_held_matrix(self, tmp_path,
+                                                      monkeypatch):
+        def no_parse(*args, **kwargs):
+            raise AssertionError("parsed")
+
+        monkeypatch.setattr(sensing, "_parse_rows", no_parse)
+        path = tmp_path / "a.csv"
+        A = gen_gaussian(5, 7, 0.0, seed=8)
+        save_matrix_csv(A, str(path))
+        assert load_matrix_csv(str(path)) is A
+        raw = np.random.default_rng(9).standard_normal((3, 4))
+        save_matrix_csv(raw, str(path))
+        back = load_matrix_csv(str(path))
+        assert back is load_matrix_csv(str(path))
+        assert not back.entries.flags.writeable
+        assert np.array_equal(bits(back.entries), bits(raw))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_held_matrix_equals_a_cold_parse(self, tmp_path_factory, data):
+        shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+        scale = 10.0 ** data.draw(st.integers(-300, 300))
+        A = data.draw(arrays(float, shape, elements=st.floats(-10, 10)))
+        # -1 keeps the scaled value, k >= 0 puts EXTREMES[k] in its place
+        pick = data.draw(arrays(int, shape, elements=st.integers(
+            -1, len(EXTREMES) - 1)))
+        A = np.where(pick < 0, A * scale, EXTREMES[np.maximum(pick, 0)])
+        path = tmp_path_factory.getbasetemp() / "held.csv"
+        save_matrix_csv(A, str(path))
+        key, held = sensing._last_read
+        drop_held()
+        cold = load_matrix_csv(str(path))
+        assert sensing._last_read[0] == key
+        assert np.array_equal(bits(held.entries), bits(cold.entries))
+        assert np.array_equal(bits(held.entries), bits(A))
+        assert held.entries.flags.c_contiguous
+
+    def test_file_rewritten_after_the_save_is_parsed_again(self, tmp_path):
+        path = tmp_path / "a.csv"
+        A = SensingMatrix(entries=[[1.5, 2.5], [3.5, 4.5]])
+        save_matrix_csv(A, str(path))
+        stat = path.stat()
+        # same length, same mtime, other values (one of them a signed zero)
+        with open(path, "r+", encoding="ascii") as fh:
+            fh.write(path.read_text().replace("2.5", "-0."))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+        back = load_matrix_csv(str(path))
+        assert back is not A
+        assert np.array_equal(bits(back.entries),
+                              bits([[1.5, -0.0], [3.5, 4.5]]))
+
+    def test_failed_save_holds_nothing(self, tmp_path):
+        path = tmp_path / "a.csv"
+        save_matrix_csv(np.eye(2), str(path))
+        assert load_matrix_csv(str(path)) is sensing._last_read[1]
+        with pytest.raises(OSError):
+            save_matrix_csv(np.eye(2), str(tmp_path))  # a directory
+        assert sensing._last_read is None
+
+    def test_matrix_a_parse_would_lay_out_otherwise_is_not_held(self,
+                                                                 tmp_path):
+        # BLAS may round a Fortran-ordered matrix differently, so only a
+        # C-ordered one, as the parser gives, stands in for a parse
+        path = tmp_path / "a.csv"
+        A = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        save_matrix_csv(A, str(path))
+        assert sensing._last_read is None
+        back = load_matrix_csv(str(path)).entries
+        assert back.flags.c_contiguous and np.array_equal(back, A)
 
 
 # each array a value type holds, with the caller's array it is built from

@@ -1,4 +1,5 @@
 import functools
+import json
 import re
 import warnings
 
@@ -18,7 +19,7 @@ from tlpsparse.solver import (Schedule, _constrained_ls, _f_w_res, _reweight,
                               irls_lq_baseline, irls_tlp, j_closed_form,
                               tail_magnitude)
 
-from oracles import j_functional, phi_w
+from oracles import j_functional, phi_w, solve_result_dict
 
 
 class TestTailMagnitude:
@@ -396,6 +397,27 @@ class TestIrlsTlp:
         res = irls_tlp(np.eye(4), np.zeros(4), PenaltyParams(1, 0.7), 1)
         blob = json.dumps(res.to_dict())
         assert "objective_trace" in blob
+
+    # each solver with its parameters and the trace only it fills
+    @pytest.mark.parametrize("solve, params, filled", [
+        (irls_tlp, PenaltyParams(1, 0.7), "inner_f_traces"),
+        (irls_constrained, PenaltyParams(1, 0.7), "j_trace"),
+        (irls_lq_baseline, 0.5, "eps_trace")])
+    def test_to_dict_matches_asdict(self, solve, params, filled):
+        # the same keys in the same order and the same values as a deep
+        # copy by dataclasses.asdict, in fresh lists (nested ones too)
+        A = gen_gaussian(12, 32, 0.0, seed=71).entries
+        y = A @ gen_signal(32, 3, seed=72).vector
+        res = solve(A, y, params, 3)
+        assert getattr(res, filled)
+        d, want = res.to_dict(), solve_result_dict(res)
+        assert list(d) == list(want) and d == want
+        assert json.dumps(d) == json.dumps(want)
+        for name, value in d.items():
+            if isinstance(value, list):
+                assert value is not getattr(res, name)
+                for got, held in zip(value, getattr(res, name)):
+                    assert not isinstance(got, list) or got is not held
 
     @pytest.mark.parametrize("a", [1e-300, 1e308])
     def test_stops_at_the_first_non_finite_iterate(self, a):
