@@ -12,10 +12,14 @@ Trials run serially, in plan order.  Per-trial random streams are derived
 from (master seed, canonical solver id, sparsity, trial index), so the
 table is a pure function of the plan: re-running a plan file reproduces it
 byte for byte (timing column aside — disable timing in the plan when byte
-identity matters) as long as the BLAS thread count stays fixed: threaded
-BLAS sums in a different order, which moves ``mean_rel_err`` in its last
-digits.  The solver's rank-k Gram update (``dsyrk``) is deterministic at a
-fixed thread count, so it adds no further condition.
+identity matters) as long as the BLAS build, its kernel set
+(``OPENBLAS_CORETYPE``) and its thread count stay fixed: other kernels or
+threads sum in a different order, which moves ``mean_rel_err`` in its
+last digits.  On the a7 plan every trial's status and outer and inner
+counts held across four kernel sets and 1 and 2 threads (README, "The
+reproducibility contract").  The caller's memory layout does not matter,
+since the solvers run on a SensingMatrix's C-ordered entries, and the
+rank-k Gram update (``dsyrk``) is deterministic at a fixed thread count.
 """
 
 from __future__ import annotations

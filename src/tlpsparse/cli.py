@@ -5,14 +5,9 @@ File formats
 * matrices: the plain-text CSV of :mod:`tlpsparse.sensing` — header line
   "M,N", then M comma-separated rows, 17 significant digits (``%.17g``);
   the reader is numpy's C parser, so values read back bit for bit, and
-  :func:`~tlpsparse.sensing.load_matrix_csv` lists the accepted forms.
-  The last matrix read or written is kept, keyed by the SHA-256 of its
-  text: a solve on an unchanged file gets the same read-only matrix
-  without parsing it, also on the first read of a file gen-matrix wrote
-  in the same process, and a changed file is always parsed again.  A
-  separate ``tlpsparse solve`` process parses the file as before.  This
-  holds at most one M x N float matrix, until a different file is read
-  or written;
+  :func:`~tlpsparse.sensing.load_matrix_csv` lists the accepted forms
+  and says how the last matrix read or written is kept, so that an
+  unchanged file is parsed at most once per process;
 * vectors: plain text, one value per line, values as in matrices
   (:func:`~tlpsparse.sensing.load_vector`);
 * solve results: JSON with the recovered vector and all traces;

@@ -17,6 +17,9 @@ in the paper's experiments.  SensingMatrix and SparseSignal each keep a
 read-only copy of the arrays they are given, so the caller's arrays keep
 their flags and later writes to them do not reach the value.  Both
 compare and hash by identity; compare their arrays with np.array_equal.
+Every function that takes a matrix uses a SensingMatrix as it is and
+makes any other array one (one copy, in C order), so the matrix rule is
+checked in one place and the caller's memory layout moves no result.
 """
 
 from __future__ import annotations
@@ -58,12 +61,12 @@ def derive_seed(master: int, *parts) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SensingMatrix:
-    """Dense measurement matrix with finite entries, read-only."""
+    """Dense measurement matrix with finite entries, read-only, C order."""
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=float)
+        entries = np.array(self.entries, dtype=float, order="C")
         if entries.ndim != 2 or entries.shape[0] < 1 or entries.shape[1] < 1:
             raise ValueError("entries must be a nonempty 2-D array")
         if not np.all(np.isfinite(entries)):
@@ -76,9 +79,15 @@ class SensingMatrix:
         return self.entries.shape
 
 
-def _as_array(A: SensingMatrix | np.ndarray) -> np.ndarray:
-    """The entries of a SensingMatrix, or any array-like as floats."""
-    return A.entries if isinstance(A, SensingMatrix) else np.asarray(A, float)
+def _as_matrix(A, name: str = "A") -> SensingMatrix:
+    """``A`` itself if it is a SensingMatrix, else the SensingMatrix it
+    becomes (one copy); a ValueError names ``name``."""
+    if isinstance(A, SensingMatrix):
+        return A
+    try:
+        return SensingMatrix(entries=A)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +172,7 @@ def gen_dct(M: int, N: int, F: float, seed: int) -> SensingMatrix:
 
 def coherence(A: SensingMatrix | np.ndarray) -> float:
     """Largest |cos angle| between two distinct columns, in [0, 1]."""
-    entries = _as_array(A)
+    entries = _as_matrix(A).entries
     norms = np.linalg.norm(entries, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("matrix has an all-zero column")
@@ -211,30 +220,19 @@ def save_matrix_csv(A: SensingMatrix | np.ndarray, path: str) -> None:
     nor truncated.  A SensingMatrix is used as it is; any other array
     costs one copy, the SensingMatrix it becomes.
 
-    Writing a file also holds its matrix for :func:`load_matrix_csv`,
-    keyed by the SHA-256 of the text written, so a read of the unchanged
-    file in this process returns that matrix without parsing it; another
-    process parses the file as usual.  Only what a parse would give is
-    held (C order), at most one matrix in all, and a failed write holds
-    nothing.
+    Writing a file also holds its matrix for the next
+    :func:`load_matrix_csv` of it in this process (see there).
     """
     global _last_read
     _last_read = None
-    try:
-        matrix = (A if isinstance(A, SensingMatrix)
-                  else SensingMatrix(entries=A))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    matrix = _as_matrix(A, name=path)
     M, N = matrix.shape
     row_fmt = ",".join(["%.17g"] * N) + "\n"
     rows = (row_fmt % tuple(row.tolist()) for row in matrix.entries)
     sha = hashlib.sha256()
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(_hashed(itertools.chain((f"{M},{N}\n",), rows), sha))
-    # the parser's result is C-ordered; another layout could round
-    # differently in BLAS, so only a matrix a parse would equal is held
-    if matrix.entries.flags.c_contiguous:
-        _last_read = (sha.digest(), matrix)
+    _last_read = (sha.digest(), matrix)
 
 
 def load_matrix_csv(path: str) -> SensingMatrix:
@@ -253,14 +251,15 @@ def load_matrix_csv(path: str) -> SensingMatrix:
 
     The last matrix read, or written by :func:`save_matrix_csv`, is kept,
     keyed by the SHA-256 of its text (as decoded for the parser, so a CRLF
-    copy has the key of its LF twin).  Reading a file whose text has that
-    key returns the same read-only matrix without parsing it; a file
-    whose text changed is always parsed again, whatever its size or
-    modification time.  Each call still reads and hashes the whole file.
-    The matrix is held in this process only: a file written by another
-    process is parsed on its first read here.  The memory this costs is
-    one M x N float matrix, held until a different file is read or
-    written; a file that fails to parse leaves nothing held.
+    copy has the key of its LF twin; for a write, the text written).
+    Reading a file whose text has that key returns the same read-only
+    matrix without parsing it; a file whose text changed is always parsed
+    again, whatever its size or modification time.  Each call still reads
+    and hashes the whole file.  The matrix is held in this process only:
+    a file written by another process is parsed on its first read here.
+    The memory this costs is one M x N float matrix, held until a
+    different file is read or written; a file that fails to parse, or a
+    write that fails, leaves nothing held.
     """
     global _last_read
     last = _last_read
@@ -289,10 +288,7 @@ def load_matrix_csv(path: str) -> SensingMatrix:
                               path, N, first_line=2)
     if len(entries) != M:
         raise ValueError(f"{path}: expected {M} rows, got {len(entries)}")
-    try:
-        matrix = SensingMatrix(entries=entries)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    matrix = _as_matrix(entries, name=path)
     # keyed by the lines this parse read, should the file have changed
     _last_read = (sha.digest(), matrix)
     return matrix

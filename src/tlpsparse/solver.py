@@ -35,7 +35,7 @@ from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrs
 
 from .penalty import PenaltyParams, _finite_number, penalty_tlp, penalty_lp
-from .sensing import _as_array
+from .sensing import SensingMatrix, _as_matrix
 
 
 def _check_number(name: str, value, integral: bool) -> None:
@@ -200,8 +200,7 @@ def _f_w_res(params: PenaltyParams, lam: float, w: np.ndarray, x: np.ndarray,
 def f_w_value(A, y, params: PenaltyParams, lam: float, w: np.ndarray,
               x: np.ndarray) -> float:
     """Weighted subproblem objective lam(a+1) sum w x^2/(a+|x|^p) + 1/2 res^2."""
-    A = _as_array(A)
-    return _f_w_res(params, lam, w, x, A @ x - y)
+    return _f_w_res(params, lam, w, x, _as_matrix(A).entries @ x - y)
 
 
 def grad_f_w(A, y, params: PenaltyParams, lam: float, w: np.ndarray,
@@ -211,7 +210,7 @@ def grad_f_w(A, y, params: PenaltyParams, lam: float, w: np.ndarray,
     Assembled from the DC split: (2 lam (a+1)/a) W x - lam (a+1) grad_phi_w
     plus the least-squares part.
     """
-    A = _as_array(A)
+    A = _as_matrix(A).entries
     a = params.a
     lin = A.T @ (A @ x - y)
     return (2.0 * lam * (a + 1.0) / a) * w * x \
@@ -222,8 +221,9 @@ def _scaled_gram(A: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Upper triangle of (A * scale) @ A.T for scale >= 0; zeros below.
 
     One symmetric rank-N update on B = A * sqrt(scale): half the flops of
-    the general product.  B^T goes to BLAS with trans=1 because for a
-    C-ordered A it is already in Fortran order, so f2py makes no copy.
+    the general product.  B^T goes to BLAS with trans=1 because A, a
+    SensingMatrix's entries, is C-ordered, so B^T is already in Fortran
+    order and f2py makes no copy.
     """
     B = A * np.sqrt(scale)
     return dsyrk(1.0, B.T, trans=1)
@@ -305,7 +305,7 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
     ``Schedule``.  The recorded f_w values are nonincreasing (both split
     halves are strongly convex with modulus >= 2c).
     """
-    A = _as_array(A)
+    A = _as_matrix(A).entries
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     if np.any(w <= 0):
@@ -344,19 +344,18 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
                      iters=iters, converged=converged)
 
 
-def _problem(A, y, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """A and y as float arrays, checked against each other and s."""
+def _problem(A, y, s: int) -> tuple[SensingMatrix, np.ndarray]:
+    """A as a SensingMatrix, y as floats, checked against each other and s."""
     _check_positive("s", s, integral=True)
-    A = _as_array(A)
+    A = _as_matrix(A)
     y = np.asarray(y, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("A must be a matrix")
-    if y.ndim != 1 or y.size != A.shape[0]:
-        raise ValueError(f"y has length {y.size}, expected {A.shape[0]}")
-    if s >= A.shape[1]:
-        raise ValueError(f"target sparsity s={s} must be below N={A.shape[1]}")
-    if not (np.isfinite(A).all() and np.isfinite(y).all()):
-        raise ValueError("A and y must be finite")
+    M, N = A.shape
+    if y.ndim != 1 or y.size != M:
+        raise ValueError(f"y has length {y.size}, expected {M}")
+    if s >= N:
+        raise ValueError(f"target sparsity s={s} must be below N={N}")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
     return A, y
 
 
@@ -458,6 +457,7 @@ def irls_tlp(A, y, params: PenaltyParams, s: int,
 
     Each outer step is one ``dca_subproblem`` solve at the frozen weights,
     to the eps-tied tolerance max(inner_tol, inner_tol_eps * min(eps, 1)).
+    It and ``grad_f_w`` get the SensingMatrix itself, so no step copies A.
     """
     A, y = _problem(A, y, s)
     inner_traces: list[list[float]] = []
@@ -470,7 +470,7 @@ def irls_tlp(A, y, params: PenaltyParams, s: int,
         return inner.x, float(cfg.lam * penalty_tlp(params, inner.x)
                               + 0.5 * (res @ res)), inner.iters
 
-    result, w = _reweight(A, y, s, cfg, params.p,
+    result, w = _reweight(A.entries, y, s, cfg, params.p,
                           f"tlp(a={params.a:g},p={params.p:g})", dca_step)
     result.inner_f_traces = inner_traces
     result.final_grad_inf = 0.0 if w is None else float(np.max(np.abs(
@@ -561,6 +561,7 @@ def irls_constrained(A, y, params: PenaltyParams, s: int,
     huge y) ends the run with status ``not_finite``.
     """
     A, y = _problem(A, y, s)
+    A = A.entries
     a, p = params.a, params.p
     j_trace: list[float] = []
 
@@ -610,6 +611,7 @@ def irls_lq_baseline(A, y, q: float, s: int,
     if not (0 < q <= 1):
         raise ValueError("q must lie in (0, 1]")
     A, y = _problem(A, y, s)
+    A = A.entries
     zero = np.zeros(A.shape[1])
 
     def ridge_step(x, w, eps):

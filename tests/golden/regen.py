@@ -1,0 +1,37 @@
+"""Rewrite ``a7_tlp.json``, the golden a7 records, next to this script.
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+The records are those ``tests/test_acceptance.py`` compares: one line per
+trial of the a7 phase cells, ``[s, t, status, outer_iters,
+total_inner_iters, rel_err]``.  They are computed in a subprocess with
+``OPENBLAS_NUM_THREADS=1``, so the caller's BLAS threads cannot move them.
+Regenerating is a data change: a commit that does it says what moved and
+why.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent.parent
+
+
+def write() -> None:
+    sys.path.insert(0, str(TESTS))
+    import test_acceptance as acc
+
+    cells = {s: acc.run_phase_cell(s) for s in acc.A7_SPARSITIES}
+    rows = ",\n".join(json.dumps(r) for r in acc.a7_records(cells))
+    acc.GOLDEN_A7.write_text(f"[\n{rows}\n]\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--child"]:
+        write()
+    else:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        subprocess.run([sys.executable, __file__, "--child"], env=env,
+                       check=True)

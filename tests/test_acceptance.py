@@ -6,7 +6,9 @@ baseline comparison) run a few hundred full solves and dominate the
 runtime; everything else is seconds.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,9 +184,21 @@ def run_phase_cell(sparsity: int, method: str = "tlp", trials: int = 20):
     return outcomes
 
 
+A7_SPARSITIES = (14, 32)
+GOLDEN_A7 = Path(__file__).parent / "golden" / "a7_tlp.json"
+
+
+def a7_records(cells) -> list[list]:
+    """Per trial of the a7 cells: [s, t, status, outer_iters,
+    total_inner_iters, rel_err]."""
+    return [[s, t, res.converged, res.outer_iters, res.total_inner_iters, rel]
+            for s, cell in cells.items()
+            for t, (rel, res, _) in enumerate(cell)]
+
+
 @pytest.fixture(scope="module")
 def phase_cells():
-    return {s: run_phase_cell(s) for s in (14, 32)}
+    return {s: run_phase_cell(s) for s in A7_SPARSITIES}
 
 
 def test_a7_phase_transition(phase_cells):
@@ -193,6 +207,20 @@ def test_a7_phase_transition(phase_cells):
     ok = rate14 >= 0.9 and rate32 <= 0.3
     _report("A7", ok, f"success rate {rate14:.2f} >= 0.9 at s=14, "
             f"{rate32:.2f} <= 0.3 at s=32 (20 trials each)")
+
+
+def test_a7_golden_records(phase_cells):
+    # statuses and counts held exactly under OpenBLAS's SkylakeX, Haswell,
+    # Sandybridge and Nehalem kernels and at 1 and 2 threads, while rel_err
+    # moved by at most 1.8e-9 relative; tests/golden/regen.py rewrites it
+    want = json.loads(GOLDEN_A7.read_text())
+    got = a7_records(phase_cells)
+    moved = [g for g, w in zip(got, want) if g[:5] != w[:5]
+             or not math.isclose(g[5], w[5], rel_tol=1e-6)]
+    _report("A7-golden", len(got) == len(want) and not moved,
+            f"{len(got)} trials against {len(want)} in {GOLDEN_A7.name}: "
+            f"statuses and counts equal, rel_err within rtol 1e-6; "
+            f"moved: {moved[:3]}")
 
 
 def test_a8_dct_coherence():

@@ -88,6 +88,14 @@ def test_generators_reject_bad_seed(gen):
     gen(np.int64(3))  # numpy integers are integers
 
 
+# arrays a SensingMatrix refuses, with what it says
+BAD_MATRICES = pytest.mark.parametrize("A, says", [
+    ([[np.nan, 1.0]], "entries must be finite"),
+    (np.empty((0, 3)), "entries must be a nonempty 2-D array"),
+    (np.ones(3), "entries must be a nonempty 2-D array")],
+    ids=["nan", "no_rows", "1d"])
+
+
 class TestCoherence:
     def test_orthonormal_columns(self):
         assert coherence(np.eye(6)) == 0.0
@@ -101,6 +109,11 @@ class TestCoherence:
         A = np.eye(4)
         A[:, 1] = 0.0
         with pytest.raises(ValueError):
+            coherence(A)
+
+    @BAD_MATRICES
+    def test_rejects_what_a_sensing_matrix_would(self, A, says):
+        with pytest.raises(ValueError, match=re.escape(f"A: {says}")):
             coherence(A)
 
 
@@ -266,11 +279,7 @@ class TestMatrixCsv:
         assert back.shape == shape
         assert np.array_equal(back.view(np.int64), A.view(np.int64))
 
-    @pytest.mark.parametrize("A, says", [
-        ([[np.nan, 1.0]], "entries must be finite"),
-        (np.empty((0, 3)), "entries must be a nonempty 2-D array"),
-        (np.ones(3), "entries must be a nonempty 2-D array")],
-        ids=["nan", "no_rows", "1d"])
+    @BAD_MATRICES
     def test_writer_rejects_what_the_reader_would(self, tmp_path, A, says):
         # checked before the path is opened: no file is made, none cut
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
@@ -426,16 +435,19 @@ class TestMatrixCsvWriteThrough:
             save_matrix_csv(np.eye(2), str(tmp_path))  # a directory
         assert sensing._last_read is None
 
-    def test_matrix_a_parse_would_lay_out_otherwise_is_not_held(self,
-                                                                 tmp_path):
-        # BLAS may round a Fortran-ordered matrix differently, so only a
-        # C-ordered one, as the parser gives, stands in for a parse
+    def test_fortran_ordered_input_is_held_c_ordered(self, tmp_path):
+        # a SensingMatrix holds C order whatever it was given, so the held
+        # matrix is what a parse gives, layout included
         path = tmp_path / "a.csv"
-        A = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        A = np.asfortranarray(np.random.default_rng(3).standard_normal((4, 5)))
         save_matrix_csv(A, str(path))
-        assert sensing._last_read is None
-        back = load_matrix_csv(str(path)).entries
-        assert back.flags.c_contiguous and np.array_equal(back, A)
+        _, held = sensing._last_read
+        assert load_matrix_csv(str(path)) is held
+        drop_held()
+        cold = load_matrix_csv(str(path)).entries
+        assert held.entries.flags.c_contiguous and cold.flags.c_contiguous
+        assert np.array_equal(bits(held.entries), bits(cold))
+        assert np.array_equal(bits(held.entries), bits(A))
 
 
 # each array a value type holds, with the caller's array it is built from

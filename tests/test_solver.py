@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import cho_solve
 
 from tlpsparse.penalty import PenaltyParams, penalty_tlp
-from tlpsparse.sensing import gen_dct, gen_gaussian, gen_signal
+from tlpsparse.sensing import (SensingMatrix, gen_dct, gen_gaussian,
+                               gen_signal)
 from tlpsparse.solver import (Schedule, _constrained_ls, _f_w_res, _reweight,
                               _scaled_gram, _SpdSolver, _weights,
                               dca_subproblem, f_w_value,
@@ -327,6 +328,57 @@ def test_raw_arrays_must_be_finite(solve):
             solve(A_bad, y)
         with pytest.raises(ValueError, match="finite"):
             solve(A, np.array([1.0, bad, 1.0]))
+
+
+BAD_MATRICES = {"nan": np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]),
+                "1d": np.ones(3), "no_rows": np.empty((0, 3))}
+
+
+@pytest.mark.parametrize("A", BAD_MATRICES.values(), ids=BAD_MATRICES.keys())
+@pytest.mark.parametrize("solve", [
+    *SOLVERS.values(),
+    lambda A, y: dca_subproblem(A, y, PenaltyParams(1, 0.7), np.ones(3))],
+    ids=[*SOLVERS, "dca"])
+def test_bad_matrix_is_named(solve, A):
+    # checked once, as a SensingMatrix, before y is looked at
+    with pytest.raises(ValueError, match="^A: entries must be"):
+        solve(A, np.ones(2))
+
+
+@pytest.mark.parametrize("solve", SOLVERS.values(), ids=SOLVERS.keys())
+def test_memory_layout_moves_no_bit(solve):
+    # every solve runs on a SensingMatrix's C-ordered copy, so a
+    # Fortran-ordered caller's array, raw or wrapped, gives the same run
+    A = gen_gaussian(16, 48, 0.0, seed=5)
+    y = A.entries @ gen_signal(48, 4, seed=6).vector
+    fortran = np.asfortranarray(A.entries)
+    runs = [solve(B, y, s=4) for B in (A, fortran,
+                                      SensingMatrix(entries=fortran))]
+    for r in runs[1:]:
+        assert np.array_equal(r.x.view(np.int64), runs[0].x.view(np.int64))
+        assert ((r.converged, r.outer_iters, r.total_inner_iters)
+                == (runs[0].converged, runs[0].outer_iters,
+                    runs[0].total_inner_iters))
+
+
+@pytest.mark.parametrize("solve", SOLVERS.values(), ids=SOLVERS.keys())
+def test_a_solve_copies_the_matrix_at_most_once(solve, monkeypatch):
+    # a SensingMatrix is never copied and a raw array once, however many
+    # outer and inner steps the solve takes
+    built = []
+    post_init = SensingMatrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    A = gen_gaussian(16, 48, 0.0, seed=5)
+    y = A.entries @ gen_signal(48, 4, seed=6).vector
+    monkeypatch.setattr(SensingMatrix, "__post_init__", counted)
+    assert solve(A, y, s=4).outer_iters > 1
+    assert len(built) == 0
+    solve(A.entries, y, s=4)
+    assert len(built) == 1
 
 
 class TestIrlsTlp:
