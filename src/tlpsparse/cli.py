@@ -10,7 +10,8 @@ File formats
   unchanged file is parsed at most once per process;
 * vectors: plain text, one value per line, values as in matrices
   (:func:`~tlpsparse.sensing.load_vector`);
-* solve results: JSON with the recovered vector and all traces;
+* solve results: JSON with the recovered vector and all traces, the
+  bytes of ``json.dumps(payload, indent=2)``;
 * bench plans: JSON (see README for the schema); the keys are the
   fields of :class:`~tlpsparse.bench.ExperimentPlan`, with its defaults,
   plus ``kind``; unknown keys are rejected so typos fail loudly.  A sweep
@@ -147,13 +148,40 @@ def cmd_solve(args) -> int:
         float(np.linalg.norm(result.x - truth) / np.linalg.norm(truth))
         if truth is not None and np.any(truth) else None)
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        text = _json_indented(payload)
     except ValueError:  # a NaN or infinity; name the first key holding one
         key = next(k for k, v in payload.items() if not _finite(v))
         raise ValueError(f"{key} holds a value that is not finite; the "
                          f"solve broke down at these settings") from None
     _write_text(text + "\n", args.out)
     return 0
+
+
+def _json_indented(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte,
+    for str-keyed dicts, lists and scalars at nesting depth ``depth``.
+
+    ``indent`` sends json.dumps to its pure-Python encoder, one call per
+    value; here each list that holds no list or dict goes through the C
+    encoder in one call, its item separator carrying the indentation.
+    """
+    pad = "\n" + "  " * (depth + 1)
+    end = "\n" + "  " * depth
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + pad + ("," + pad).join(
+            json.dumps(k) + ": " + _json_indented(v, depth + 1)
+            for k, v in value.items()) + end + "}"
+    if not isinstance(value, list):
+        return json.dumps(value, allow_nan=False)
+    if not value:
+        return "[]"
+    if any(map(isinstance, value, itertools.repeat((list, dict)))):
+        return "[" + pad + ("," + pad).join(
+            _json_indented(v, depth + 1) for v in value) + end + "]"
+    flat = json.dumps(value, allow_nan=False, separators=("," + pad, ": "))
+    return "[" + pad + flat[1:-1] + end + "]"
 
 
 def _finite(value) -> bool:

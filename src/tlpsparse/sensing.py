@@ -207,12 +207,139 @@ def _hashed(lines, sha):
         yield line
 
 
+# Values per block of rows that _format_rows lays out at once.
+_BLOCK = 16384
+# One value in _format_rows takes 48 bytes, six little-endian uint64
+# words: byte 0 the sign, 1-5 the "0.000" of fixed notation below 1,
+# digit i (of 17) at 6 + 2i with a slot for the point after it, 40-43 the
+# "e-0d" suffix and _SEP the separator.  Bytes left 0 are deleted.
+_WIDTH, _SEP = 48, 44
+# per decimal exponent X in [-6, 15]: bytes 0-7 and 40-47 but the sign,
+# the first digit, its point and the separator
+_HEAD = np.array([int.from_bytes(b"\0" + b"0." + b"0" * (-X - 1), "little")
+                  if -4 <= X < 0 else 0 for X in range(-6, 16)], "<u8")
+_TAIL = np.array([int.from_bytes(b"e-0%d" % -X, "little") if X < -4 else 0
+                  for X in range(-6, 16)], "<u8")
+# the first k digits of a quad, k = 0..4
+_LANES = np.array([(1 << 16 * k) - 1 for k in range(5)], "<u8")
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For each 4-digit chunk c: c as its four ASCII digits at bytes 0, 2,
+    4 and 6 of one uint64; and, for chunk j = 0..3 (digits 4j+1..4j+4 of
+    17), the index among the 17 of its last nonzero digit, 0 if c is 0."""
+    c = np.arange(10000)
+    digits = np.stack([c // p % 10 for p in (1000, 100, 10, 1)],
+                      axis=1).astype("<u2")
+    last = np.where(c > 0, 4 - np.argmax(digits[:, ::-1] != 0, axis=1), 0)
+    last = np.where(last > 0, last + 4 * np.arange(4)[:, None], 0)
+    return (digits + ord("0")).view("<u8").ravel(), last.astype(np.int8)
+
+
+_QUADS, _LAST = _digit_tables()
+# 10^k is exact in float64 for k <= 22; _veltkamp splits each in two
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo exactly, each half short enough that the product of
+    two halves is exact in float64."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+
+def _times_pow10(a: np.ndarray,
+                 k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi + lo = a 10^k exactly (Dekker's product), for
+    0 <= k <= 22."""
+    hi = a * _POW10[k]
+    ah, al = _veltkamp(a)
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _outside(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """1 where hi + lo >= 10^17, -1 where it is below 10^16, else 0,
+    compared exactly."""
+    return (((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int64)
+            - ((hi < 1e16) | ((hi == 1e16) & (lo < 0))))
+
+
+def _format_rows(rows: np.ndarray) -> bytes:
+    """The CSV lines of ``rows``: each value as ``f"{v:.17g}"``, commas
+    between them and a newline after each row.
+
+    A finite |v| in (1e-6, 1e16) is written from its 17 correctly rounded
+    digits q = round(|v| 10^(16-X)) in [10^16, 10^17), X its decimal
+    exponent, laid into fixed slots as ``%.17g`` prints them; every other
+    value (zeros, subnormals and the rest) takes ``"%.17g" % v``.
+    """
+    v = rows.ravel()
+    a = np.abs(v)
+    fast = (a > 1e-6) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    X = np.clip(np.floor(np.log10(a)).astype(np.int64), -6, 15)
+    hi, lo = _times_pow10(a, 16 - X)
+    # log10 may miss by one near a power of ten; each fix moves X one
+    # step toward the exponent that puts |v| 10^(16-X) in [10^16, 10^17)
+    step = _outside(hi, lo)
+    off = np.flatnonzero(step)
+    while off.size:
+        X[off] += step[off]
+        hi[off], lo[off] = _times_pow10(a[off], 16 - X[off])
+        step[off] = _outside(hi[off], lo[off])
+        off = off[step[off] != 0]
+    # hi >= 10^16 is an even integer, so rounding hi + lo half to even is
+    # rounding lo; a carry into 10^17 moves the exponent up
+    q = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = q == 10 ** 17
+    X += carry
+    q[carry] = 10 ** 16
+
+    # a lead digit and four 4-digit chunks; numpy's // by a scalar is
+    # fast, its % is not
+    lead = q // 10 ** 16
+    rest = q - lead * 10 ** 16
+    hi8 = rest // 10 ** 8
+    lo8 = rest - hi8 * 10 ** 8
+    c0, c2 = hi8 // 10 ** 4, lo8 // 10 ** 4
+    chunks = (c0, hi8 - c0 * 10 ** 4, c2, lo8 - c2 * 10 ** 4)
+    last = np.maximum(np.maximum(_LAST[0][chunks[0]], _LAST[1][chunks[1]]),
+                      np.maximum(_LAST[2][chunks[2]], _LAST[3][chunks[3]]))
+    keep = np.maximum(last, X)  # the integer part keeps its zeros (656390)
+    words = np.empty((v.size, _WIDTH // 8), "<u8")
+    words[:, 0] = (_HEAD[X + 6] | (v < 0).astype("<u8") * ord("-")
+                   | (lead.astype("<u8") + ord("0")) << 48)
+    for j, c in enumerate(chunks):
+        words[:, 1 + j] = _QUADS[c] & _LANES[np.clip(keep - 4 * j, 0, 4)]
+    words[:, 5] = _TAIL[X + 6] | ord(",") << 8 * (_SEP - 40)
+    out = words.view(np.uint8)
+    # the point follows digit X, or digit 0 in exponent notation (X < -4);
+    # below 1 in fixed notation it is in the "0." prefix
+    point = np.maximum(X, 0)
+    has_point = (last > point) & ((X >= 0) | (X < -4))
+    out.reshape(-1)[np.arange(0, out.size, _WIDTH) + 7 + 2 * point] = \
+        has_point * ord(".")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = ["%.17g" % f for f in v[slow].tolist()]
+        out[slow, :_SEP] = np.array(text, dtype=f"S{_SEP}").view(
+            np.uint8).reshape(-1, _SEP)
+    out.reshape(*rows.shape, _WIDTH)[:, -1, _SEP] = ord("\n")
+    return out.tobytes().translate(None, b"\0")
+
+
 def save_matrix_csv(A: SensingMatrix | np.ndarray, path: str) -> None:
     """Write the plain-text matrix format: header line "M,N", then M rows.
 
     Values carry 17 significant digits (``%.17g``, the bytes of
-    ``f"{v:.17g}"``), enough for exact float64 round-trips.  One row is
-    formatted at a time, so memory stays at one row of text.
+    ``f"{v:.17g}"``), enough for exact float64 round-trips.  Rows are
+    formatted by a vectorized formatter in blocks of about 16K values, so
+    memory stays at one block of rows as text.
 
     ``A`` is checked as a :class:`SensingMatrix` before ``path`` is
     opened: an array that is not a nonempty 2-D array of finite values
@@ -227,11 +354,12 @@ def save_matrix_csv(A: SensingMatrix | np.ndarray, path: str) -> None:
     _last_read = None
     matrix = _as_matrix(A, name=path)
     M, N = matrix.shape
-    row_fmt = ",".join(["%.17g"] * N) + "\n"
-    rows = (row_fmt % tuple(row.tolist()) for row in matrix.entries)
+    step = max(1, _BLOCK // N)
+    blocks = (_format_rows(matrix.entries[i:i + step]).decode("ascii")
+              for i in range(0, M, step))
     sha = hashlib.sha256()
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(_hashed(itertools.chain((f"{M},{N}\n",), rows), sha))
+        fh.writelines(_hashed(itertools.chain((f"{M},{N}\n",), blocks), sha))
     _last_read = (sha.digest(), matrix)
 
 

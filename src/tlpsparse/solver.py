@@ -303,13 +303,20 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
     the subproblem has no target sparsity.  ``tol`` defaults to
     cfg.inner_tol; ``irls_tlp`` passes the eps-tied tolerance of
     ``Schedule``.  The recorded f_w values are nonincreasing (both split
-    halves are strongly convex with modulus >= 2c).
+    halves are strongly convex with modulus >= 2c).  ``y`` must be a
+    finite vector of length M and ``w`` one of length N with finite
+    entries > 0; a ValueError names the one that is not.
     """
     A = _as_matrix(A).entries
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("weights must be strictly positive")
+    for name, vec, n in (("y", y, A.shape[0]), ("w", w, A.shape[1])):
+        if vec.shape != (n,):
+            raise ValueError(f"{name} has shape {vec.shape}, expected ({n},)")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
+    if not (w > 0).all() or not np.isfinite(w).all():  # a NaN fails w > 0
+        raise ValueError("weights w must be strictly positive and finite")
     if tol is None:
         tol = cfg.inner_tol
     a, p = params.a, params.p

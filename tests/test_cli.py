@@ -19,7 +19,7 @@ import tlpsparse
 from tlpsparse import sensing
 from tlpsparse.bench import (METHODS, ExperimentPlan, SolverSpec,
                              run_experiment)
-from tlpsparse.cli import build_parser, main, parse_plan_file
+from tlpsparse.cli import _json_indented, build_parser, main, parse_plan_file
 from tlpsparse.sensing import (gen_gaussian, gen_signal, load_matrix_csv,
                                save_matrix_csv)
 from tlpsparse.solver import Schedule
@@ -27,6 +27,16 @@ from tlpsparse.solver import Schedule
 
 # a JSON integer too large for a float: not finite, so exit 2 naming its key
 BIG = 10 ** 400
+
+
+# what solve --out holds: str-keyed objects of nested lists of floats,
+# integers, None and strings
+JSON_PAYLOADS = st.recursive(
+    st.none() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=5)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=25)
 
 
 def write_vector(path, values):
@@ -280,6 +290,38 @@ class TestSolve:
             miss, hit = (without_wall_time(out.read_text()) for out in outs)
             assert len(miss) == len(outs[0].read_text().splitlines()) - 1
             assert miss == hit, method
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_solve_out_is_json_dumps_indent_2(self, tmp_path, method):
+        # the bytes json.dumps(payload, indent=2) writes, nested traces
+        # (tlp's inner_f_traces), None and strings included
+        matrix, truth, out = (tmp_path / n for n in ("a.csv", "x0.txt",
+                                                     "out.json"))
+        save_matrix_csv(gen_gaussian(16, 48, 0.0, seed=3), str(matrix))
+        write_vector(truth, gen_signal(48, 3, seed=4).vector.tolist())
+        assert main(["solve", "--matrix", str(matrix), "--truth", str(truth),
+                     "--s", "3", "--method", method, "--out", str(out)]) == 0
+        text = out.read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2) + "\n"
+        assert any(isinstance(v, list) and v and isinstance(v[0], list)
+                   for v in payload.values()) == (method == "tlp")
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=JSON_PAYLOADS)
+    @example(value={"x": [], "t": [[], [1.5]], "n": None})
+    @example(value=[[[]], [1, [2.5, "s"]], None])
+    def test_json_writer_is_json_dumps_indent_2(self, value):
+        assert _json_indented(value) == json.dumps(value, indent=2,
+                                                   allow_nan=False)
+
+    @pytest.mark.parametrize("value", [
+        math.nan, [1.0, math.inf], {"x": [[0.5], [-math.inf]]}])
+    def test_json_writer_rejects_what_json_dumps_would(self, value):
+        with pytest.raises(ValueError):
+            json.dumps(value, indent=2, allow_nan=False)
+        with pytest.raises(ValueError):
+            _json_indented(value)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_solve_after_gen_matrix_parses_nothing(self, tmp_path, method):

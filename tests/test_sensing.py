@@ -1,5 +1,8 @@
+import hashlib
+import math
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -267,6 +270,46 @@ class TestMatrixCsv:
         back = load_matrix_csv(str(path)).entries
         assert np.array_equal(back.view(np.int64), A.view(np.int64))
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_writer_bytes_match_per_value_format_hypothesis(
+            self, tmp_path_factory, data):
+        shape = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 8)))
+        A = np.array(data.draw(st.lists(WRITER_VALUES, min_size=shape[0]
+                                        * shape[1], max_size=shape[0]
+                                        * shape[1]))).reshape(shape)
+        path = tmp_path_factory.getbasetemp() / "bytes.csv"
+        save_matrix_csv(A, str(path))
+        assert path.read_bytes() == per_value(A)
+
+    def test_writer_bytes_match_per_value_format_edges(self, tmp_path):
+        # every edge class with both signs, and 20000 random finite bit
+        # patterns, most of them outside the vectorized range
+        rng = np.random.default_rng(29)
+        bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64)
+        noise = bits.view(float)[np.isfinite(bits.view(float))]
+        for A in (np.concatenate([EDGES, -EDGES]).reshape(2, -1),
+                  noise[:noise.size // 50 * 50].reshape(-1, 50)):
+            path = tmp_path / "a.csv"
+            save_matrix_csv(A, str(path))
+            assert path.read_bytes() == per_value(A)
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1, 9), (9, 1), (2, sensing._BLOCK - 1), (2, sensing._BLOCK),
+        (2, sensing._BLOCK + 1), (16, 1024), (17, 1024), (33, 1024),
+        (sensing._BLOCK + 1, 1)])
+    def test_writer_bytes_across_block_boundaries(self, tmp_path, shape):
+        # values from every class in each block; the held key is the
+        # SHA-256 of the bytes written, as a later load computes it
+        rng = np.random.default_rng(shape[0] * 7 + shape[1])
+        A = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 19, shape)
+        A.flat[::7] = rng.choice(EDGES, A.flat[::7].size)
+        path = tmp_path / "a.csv"
+        save_matrix_csv(A, str(path))
+        assert path.read_bytes() == per_value(A)
+        assert sensing._last_read[0] == hashlib.sha256(
+            path.read_bytes()).digest()
+
     @pytest.mark.parametrize("shape", [(1, 9), (7, 1), (1, 1)])
     def test_round_trip_single_row_or_column(self, tmp_path, shape):
         rng = np.random.default_rng(5)
@@ -289,6 +332,45 @@ class TestMatrixCsv:
                 save_matrix_csv(A, str(path))
         assert not new.exists()
         assert old.read_text() == "1,1\n7\n"
+
+
+def per_value(A) -> bytes:
+    """The file the writer promises for A: each value as f"{v:.17g}"."""
+    return (f"{A.shape[0]},{A.shape[1]}\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n"
+        for row in A.tolist())).encode("ascii")
+
+
+def dyadic_tie(k: int, m: int) -> float:
+    """An odd multiple of 2^-k whose decimal expansion has 18 significant
+    digits, the last a 5: %.17g must round it half to even."""
+    lo = -(-10 ** 17 // 5 ** k)
+    hi = min((10 ** 18 - 1) // 5 ** k, 2 ** 53 - 1)  # exact in float64
+    return ((lo + m % (hi - lo)) | 1) * 2.0 ** -k
+
+
+# The value classes of the vectorized writer and its fallback: signed
+# zeros, subnormals, the largest double, 10^k and its neighbours (the
+# literals 9.9999999999999999e(k-1) read as 10^k, the carry case), integers
+# with trailing zeros, and dyadic ties.
+EDGES = np.array(
+    [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+     1.7976931348623157e308, 656390.0, 100.0, 1200.0, 1e15 + 2.0,
+     9999999999999998.0, 123456789012345680.0, 1e16, 1e22, 2.0 ** 53]
+    + [f for k in range(-7, 18) for f in (
+        float(f"1e{k}"), float(f"9.9999999999999999e{k - 1}"),
+        math.nextafter(float(f"1e{k}"), 0.0),
+        math.nextafter(float(f"1e{k}"), math.inf))]
+    + [dyadic_tie(k, m) for k in range(2, 25) for m in (0, 1, 12345)])
+# any finite double, drawn from all bit patterns, or near the edges
+WRITER_VALUES = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(
+        lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(
+            math.isfinite),
+    st.floats(-1e17, 1e17),
+    st.sampled_from(EDGES.tolist()).flatmap(
+        lambda f: st.sampled_from([f, -f])),
+    st.builds(dyadic_tie, st.integers(2, 24), st.integers(0, 10 ** 9)))
 
 
 def bits(a):

@@ -145,6 +145,25 @@ class TestDcaSubproblem:
             dca_subproblem(np.eye(3), np.zeros(3), PenaltyParams(1, 0.5),
                            np.array([1.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("y,w,says", [
+        ([1.0, np.nan, 0.0], np.ones(3), "y must be finite"),
+        ([1.0, np.inf, 0.0], np.ones(3), "y must be finite"),
+        (np.ones(3), [1.0, np.nan, 1.0], "weights w must be"),
+        (np.ones(3), [1.0, np.inf, 1.0], "weights w must be"),
+        (np.ones(2), np.ones(3), re.escape("y has shape (2,), expected (3,)")),
+        (np.ones((3, 1)), np.ones(3),
+         re.escape("y has shape (3, 1), expected (3,)")),
+        (np.ones(3), np.ones(4), re.escape("w has shape (4,), expected (3,)")),
+        (np.ones(3), 1.0, re.escape("w has shape (), expected (3,)")),
+    ], ids=["y_nan", "y_inf", "w_nan", "w_inf", "y_short", "y_column",
+            "w_long", "w_scalar"])
+    def test_bad_y_or_w_is_named(self, y, w, says):
+        # a NaN used to run every inner step and return an all-NaN x, and
+        # a wrong length to fail with numpy's broadcast error
+        with pytest.raises(ValueError, match=says):
+            dca_subproblem(np.eye(3), np.asarray(y), PenaltyParams(1, 0.7),
+                           np.asarray(w))
+
     @pytest.mark.parametrize("family", ["gaussian", "dct"])
     def test_bit_identical_to_unfused_loop(self, family):
         # the fused step must reproduce, bit for bit, the loop built from
@@ -257,6 +276,41 @@ class TestSpdRoutes:
             scale = (np.linalg.norm(A, 2) ** 2 * np.linalg.norm(x)
                      + np.linalg.norm(d * x) + np.linalg.norm(b))
             assert np.linalg.norm(res) <= 1e-13 * scale, s
+
+    def test_solvers_own_steps_keep_backward_error_small(self, monkeypatch):
+        # adversarial right-hand sides reach about 3e-12 (the test above
+        # allows 1e-13); the steps tlp and lq actually take on a desk
+        # matrix measured at most 2.9e-16 (tlp) and 1.7e-15 (lq), relative
+        # to ||A||^2 ||x|| + ||D x|| + ||b||
+        A = gen_gaussian(64, 256, 0.0, seed=71)
+        norm2 = np.linalg.norm(A.entries, 2) ** 2
+        errs = []
+        init, solve = _SpdSolver.__init__, _SpdSolver.solve
+
+        def keep_d(self, A, d, y=None):
+            init(self, A, d, y)
+            self.d = d
+
+        def checked(self, v):
+            x, r = solve(self, v)
+            b = self._A.T @ self._y + v
+            res = self._A.T @ (self._A @ x) + self.d * x - b
+            errs.append(np.linalg.norm(res) / (
+                norm2 * np.linalg.norm(x) + np.linalg.norm(self.d * x)
+                + np.linalg.norm(b)))
+            return x, r
+
+        monkeypatch.setattr(_SpdSolver, "__init__", keep_d)
+        monkeypatch.setattr(_SpdSolver, "solve", checked)
+        statuses = set()
+        for s in (14, 24, 32):
+            y = A.entries @ gen_signal(256, s, seed=72 + s).vector
+            for res in (irls_tlp(A, y, PenaltyParams(1, 0.7), s),
+                        irls_lq_baseline(A, y, 0.5, s)):
+                statuses.add(res.converged)
+        assert statuses == {"sparsity_reached", "step_converged"}
+        assert len(errs) > 2000
+        assert max(errs) <= 1e-14
 
     def test_dca_trace_ends_at_f_w_value(self):
         # the trace is recorded from the solve's own residual; its last
