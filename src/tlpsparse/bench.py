@@ -3,10 +3,10 @@
 A plan names a matrix family, a sparsity grid, a trial count, and one or
 more solver configurations; the harness runs every (solver, sparsity,
 trial) cell with a fresh matrix and a fresh signal, counts recoveries
-below the relative-error threshold, and emits one CSV row per cell.  An
-(a, p) sweep is such a plan too, with one tlp solver per grid point and
-one sparsity; ``sweep_to_csv`` writes its cells as
-``a,p,sparsity,success_rate`` rows.
+below the relative-error threshold, and emits one CSV row per cell under
+the one fixed header ``CSV_HEADER``.  An (a, p) sweep is such a plan too,
+with one tlp solver per grid point and one sparsity, and writes the same
+table.
 
 Trials run serially, in plan order.  Per-trial random streams are derived
 from (master seed, canonical solver id, sparsity, trial index), so the
@@ -32,14 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .penalty import PenaltyParams, _finite_number
-from .sensing import (_allocating, derive_seed, gen_dct, gen_gaussian,
-                      gen_signal)
+from .sensing import (_allocating, _check_dct_phases, derive_seed, gen_dct,
+                      gen_gaussian, gen_signal)
 from .solver import (Schedule, _check_number, _check_positive,
                      irls_constrained, irls_lq_baseline, irls_tlp)
 
 CSV_HEADER = ("solver,a,p,kappa,family,M,N,param,sparsity,trials,"
               "successes,success_rate,mean_rel_err,mean_time_ms")
-SWEEP_CSV_HEADER = "a,p,sparsity,success_rate"
 
 METHODS = ("tlp", "lq", "constrained")
 
@@ -114,10 +113,11 @@ class ExperimentPlan:
         _check_number("master_seed", self.master_seed, integral=True)
         _check_number("param", self.param, integral=False)
         # the generators' own ranges, checked here to name the plan key
-        if self.family == "dct" and not (self.param > 0
-                                         and _finite_number(self.param)):
-            raise ValueError(f"param must be positive and finite for "
-                             f"family dct, got {self.param!r}")
+        if self.family == "dct":
+            if not (self.param > 0 and _finite_number(self.param)):
+                raise ValueError(f"param must be positive and finite for "
+                                 f"family dct, got {self.param!r}")
+            _check_dct_phases(self.N, self.param, "param")
         if self.family == "gaussian" and not 0 <= self.param < 1:
             raise ValueError(f"param must lie in [0, 1) for family "
                              f"gaussian, got {self.param!r}")
@@ -266,11 +266,3 @@ def to_csv(result: ExperimentResult) -> str:
             _fmt(cell.mean_time_ms)]))
     return "\n".join(lines) + "\n"
 
-
-def sweep_to_csv(result: ExperimentResult) -> str:
-    """One ``a,p,sparsity,success_rate`` row per cell of a sweep."""
-    lines = [SWEEP_CSV_HEADER]
-    for cell in result.cells:
-        lines.append(f"{_fmt(cell.spec.a)},{_fmt(cell.spec.p)},"
-                     f"{cell.sparsity},{_fmt(cell.success_rate)}")
-    return "\n".join(lines) + "\n"

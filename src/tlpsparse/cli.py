@@ -246,7 +246,7 @@ def _build_plan(solvers=None, **opts) -> bench_mod.ExperimentPlan:
 
 
 def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
-    """Load and validate a plan file; returns (kind, plan).
+    """Load and validate a plan file; returns the ExperimentPlan.
 
     The optional arguments override the corresponding plan fields (the
     flag-beats-file rule).  Keys the file omits take the
@@ -275,14 +275,13 @@ def parse_plan_file(path: str, trials=None, seed=None, threshold=None):
     for f in fields(bench_mod.ExperimentPlan):
         if f.default is MISSING and f.name not in raw:
             raise ValueError(f"plan requires {f.name!r}")
-    return kind, _as_written(spelling, _build_plan, **raw)
+    return _as_written(spelling, _build_plan, **raw)
 
 
 def cmd_bench(args) -> int:
-    kind, plan = parse_plan_file(args.plan, trials=args.trials,
-                                 seed=args.seed, threshold=args.threshold)
-    to_csv = bench_mod.sweep_to_csv if kind == "sweep" else bench_mod.to_csv
-    _write_text(to_csv(bench_mod.run_experiment(plan)), args.out)
+    plan = parse_plan_file(args.plan, trials=args.trials, seed=args.seed,
+                           threshold=args.threshold)
+    _write_text(bench_mod.to_csv(bench_mod.run_experiment(plan)), args.out)
     return 0
 
 

@@ -153,16 +153,21 @@ def gen_gaussian(M: int, N: int, r: float, seed: int) -> SensingMatrix:
         return SensingMatrix(entries=entries)
 
 
+def _check_dct_phases(N: int, F: float, name: str) -> None:
+    """Raise ValueError, naming F as ``name``, if the phases 2 pi i w / F
+    of an N-column DCT matrix (i < N, w < 1) overflow; F > 0 is finite."""
+    if not math.isfinite(2.0 * math.pi * (N - 1) / F):
+        raise ValueError(f"{name} is too small for N={N}: the phases "
+                         f"overflow, got {F!r}")
+
+
 def gen_dct(M: int, N: int, F: float, seed: int) -> SensingMatrix:
     """Over-sampled DCT columns sharing one random frequency vector."""
     if not (F > 0 and _finite_number(F)):
         raise ValueError(f"frequency parameter F must be positive and "
                          f"finite, got {F!r}")
     with _allocating(M, N):
-        # the phases 2 pi i w / F, i < N and w < 1, must stay finite
-        if not math.isfinite(2.0 * math.pi * (N - 1) / F):
-            raise ValueError(f"frequency parameter F is too small for "
-                             f"N={N}: the phases overflow, got {F!r}")
+        _check_dct_phases(N, F, "frequency parameter F")
         rng = _rng(seed)
         w = rng.random(M)
         idx = np.arange(N)
@@ -194,9 +199,9 @@ def gen_signal(N: int, s: int, seed: int) -> SparseSignal:
 
 
 # The last matrix load_matrix_csv parsed or save_matrix_csv wrote, as
-# (SHA-256 of its text, matrix).  One tuple, replaced whole, so a reader
-# never pairs one key with another text's matrix and at most one entry is
-# held, without a lock.
+# (SHA-256 of its file's bytes, matrix).  One tuple, replaced whole, so a
+# reader never pairs one key with another file's matrix and at most one
+# entry is held, without a lock.
 _last_read: tuple[bytes, SensingMatrix] | None = None
 
 
@@ -355,11 +360,13 @@ def save_matrix_csv(A: SensingMatrix | np.ndarray, path: str) -> None:
     matrix = _as_matrix(A, name=path)
     M, N = matrix.shape
     step = max(1, _BLOCK // N)
-    blocks = (_format_rows(matrix.entries[i:i + step]).decode("ascii")
+    blocks = (_format_rows(matrix.entries[i:i + step])
               for i in range(0, M, step))
     sha = hashlib.sha256()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(_hashed(itertools.chain((f"{M},{N}\n",), blocks), sha))
+    with open(path, "wb") as fh:  # LF endings on every platform
+        for chunk in itertools.chain((b"%d,%d\n" % (M, N),), blocks):
+            sha.update(chunk)
+            fh.write(chunk)
     _last_read = (sha.digest(), matrix)
 
 
@@ -378,10 +385,10 @@ def load_matrix_csv(path: str) -> SensingMatrix:
     (counting the header and blank lines).
 
     The last matrix read, or written by :func:`save_matrix_csv`, is kept,
-    keyed by the SHA-256 of its text (as decoded for the parser, so a CRLF
-    copy has the key of its LF twin; for a write, the text written).
-    Reading a file whose text has that key returns the same read-only
-    matrix without parsing it; a file whose text changed is always parsed
+    keyed by the SHA-256 of the file's bytes (so a CRLF copy of an LF file
+    has a key of its own; for a write, the bytes written).  Reading a
+    file whose bytes have that key returns the same read-only matrix
+    without parsing it; a file whose bytes changed is always parsed
     again, whatever its size or modification time.  Each call still reads
     and hashes the whole file.  The matrix is held in this process only:
     a file written by another process is parsed on its first read here.
@@ -393,15 +400,16 @@ def load_matrix_csv(path: str) -> SensingMatrix:
     last = _last_read
     if last is not None:  # with nothing held, no hash can hit
         sha = hashlib.sha256()
-        with open(path, "r", encoding="ascii", errors="replace") as fh:
-            for _ in _hashed(fh, sha):
-                pass
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                sha.update(chunk)
         if last[0] == sha.digest():
             return last[1]
         _last_read = None  # hold no second matrix while this one is parsed
     sha = hashlib.sha256()
-    # a non-ASCII byte becomes U+FFFD, so it fails to parse on its line
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
+    # a non-ASCII byte becomes U+FFFD, so it fails to parse on its line;
+    # newline="" keeps line endings, so what parses is hashed byte for byte
+    with open(path, encoding="ascii", errors="replace", newline="") as fh:
         lines = _hashed(fh, sha)
         header = next(lines, "").strip()
         try:

@@ -1,10 +1,13 @@
-"""Rewrite ``a7_tlp.json``, the golden a7 records, next to this script.
+"""Rewrite the golden records next to this script.
 
     PYTHONPATH=src python tests/golden/regen.py
 
-The records are those ``tests/test_acceptance.py`` compares: one line per
-trial of the a7 phase cells, ``[s, t, status, outer_iters,
-total_inner_iters, rel_err]``.  They are computed in a subprocess with
+The records are those ``tests/test_acceptance.py`` compares.
+``a7_tlp.json`` holds one line per trial of the a7 phase cells, ``[s, t,
+status, outer_iters, total_inner_iters, rel_err]``;
+``heat_sweep_s24.json`` one line per cell of ``bench --plan
+plans/heat_sweep_s24.json --trials 1``, ``[a, p, successes,
+mean_rel_err]``.  They are computed in a subprocess with
 ``OPENBLAS_NUM_THREADS=1``, so the caller's BLAS threads cannot move them.
 Regenerating is a data change: a commit that does it says what moved and
 why.
@@ -19,13 +22,18 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent.parent
 
 
+def dump(path: Path, records: list[list]) -> None:
+    rows = ",\n".join(json.dumps(r) for r in records)
+    path.write_text(f"[\n{rows}\n]\n")
+
+
 def write() -> None:
     sys.path.insert(0, str(TESTS))
     import test_acceptance as acc
 
     cells = {s: acc.run_phase_cell(s) for s in acc.A7_SPARSITIES}
-    rows = ",\n".join(json.dumps(r) for r in acc.a7_records(cells))
-    acc.GOLDEN_A7.write_text(f"[\n{rows}\n]\n")
+    dump(acc.GOLDEN_A7, acc.a7_records(cells))
+    dump(acc.GOLDEN_HEAT, acc.heat_sweep_records())
 
 
 if __name__ == "__main__":

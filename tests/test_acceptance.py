@@ -6,14 +6,18 @@ baseline comparison) run a few hundred full solves and dominate the
 runtime; everything else is seconds.
 """
 
+import csv
+import io
 import json
 import math
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tlpsparse.bench import SolverSpec
+from tlpsparse.cli import main
 from tlpsparse.penalty import PenaltyParams, relaxation_degree, rho
 from tlpsparse.sensing import coherence, derive_seed, gen_dct, gen_gaussian, gen_signal
 from tlpsparse.solver import (Schedule, dca_subproblem, grad_phi_w,
@@ -220,6 +224,38 @@ def test_a7_golden_records(phase_cells):
     _report("A7-golden", len(got) == len(want) and not moved,
             f"{len(got)} trials against {len(want)} in {GOLDEN_A7.name}: "
             f"statuses and counts equal, rel_err within rtol 1e-6; "
+            f"moved: {moved[:3]}")
+
+
+HEAT_SWEEP = Path(__file__).resolve().parent.parent / "plans" / \
+    "heat_sweep_s24.json"
+GOLDEN_HEAT = Path(__file__).parent / "golden" / "heat_sweep_s24.json"
+
+
+def heat_sweep_records() -> list[list]:
+    """Per cell of ``bench --plan plans/heat_sweep_s24.json --trials 1``,
+    from its success CSV: [a, p, successes, mean_rel_err]."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["bench", "--plan", str(HEAT_SWEEP), "--trials", "1"])
+    if code != 0:
+        raise RuntimeError(f"bench exited {code}")
+    return [[float(r["a"]), float(r["p"]), int(r["successes"]),
+             float(r["mean_rel_err"])]
+            for r in csv.DictReader(io.StringIO(out.getvalue()))]
+
+
+def test_heat_sweep_golden_records():
+    # successes held exactly under OpenBLAS's SkylakeX, Haswell, Sandybridge
+    # and Nehalem kernels and at 1 and 2 threads, while mean_rel_err moved
+    # by at most 2e-9 relative; tests/golden/regen.py rewrites it
+    want = json.loads(GOLDEN_HEAT.read_text())
+    got = heat_sweep_records()
+    moved = [g for g, w in zip(got, want) if g[:3] != w[:3]
+             or not math.isclose(g[3], w[3], rel_tol=1e-6)]
+    _report("HEAT-golden", len(got) == len(want) and not moved,
+            f"{len(got)} cells against {len(want)} in {GOLDEN_HEAT.name}: "
+            f"a, p and successes equal, mean_rel_err within rtol 1e-6; "
             f"moved: {moved[:3]}")
 
 

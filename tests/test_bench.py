@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -9,7 +11,7 @@ import pytest
 
 import tlpsparse.bench as bench
 from tlpsparse.bench import (CSV_HEADER, ExperimentPlan, SolverSpec,
-                             run_experiment, run_trial, sweep_to_csv, to_csv)
+                             run_experiment, run_trial, to_csv)
 from tlpsparse.cli import parse_plan_file
 
 
@@ -37,9 +39,7 @@ def sweep_plan(a_grid, p_grid, sparsity, plan, entry=None):
         path = os.path.join(tmp, "plan.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(d, fh)
-        kind, parsed = parse_plan_file(path)
-    assert kind == "sweep"
-    return parsed
+        return parse_plan_file(path)
 
 
 def run_sweep(a_grid, p_grid, sparsity, plan):
@@ -234,11 +234,16 @@ class TestSweep:
         assert rows1 == rows2
 
     def test_csv_shape(self):
+        # a sweep writes the success table, one row per grid point
         plan = tiny_plan(trials=2)
-        text = sweep_to_csv(run_sweep([1.0], [0.5, 0.9], 2, plan))
-        lines = text.splitlines()
-        assert lines[0] == "a,p,sparsity,success_rate"
-        assert len(lines) == 3
+        result = run_sweep([1.0], [0.5, 0.9], 2, plan)
+        text = to_csv(result)
+        assert text.splitlines()[0] == CSV_HEADER
+        rows = csv.DictReader(io.StringIO(text))
+        assert [[r[k] for k in ("a", "p", "sparsity", "success_rate")]
+                for r in rows] == [["1.0", p, "2", repr(c.success_rate)]
+                                   for p, c in zip(("0.5", "0.9"),
+                                                   result.cells)]
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import tlpsparse
 from tlpsparse import sensing
-from tlpsparse.bench import (METHODS, ExperimentPlan, SolverSpec,
-                             run_experiment)
+from tlpsparse.bench import (CSV_HEADER, METHODS, ExperimentPlan,
+                             SolverSpec, run_experiment)
 from tlpsparse.cli import _json_indented, build_parser, main, parse_plan_file
 from tlpsparse.sensing import (gen_gaussian, gen_signal, load_matrix_csv,
                                save_matrix_csv)
@@ -386,7 +386,7 @@ class TestSolve:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"family": "gaussian", "M": 4, "N": 8,
                                     "sparsities": [1], "solvers": [spec]}))
-        cfg = parse_plan_file(str(plan))[1].solvers[0]
+        cfg = parse_plan_file(str(plan)).solvers[0]
         assert {name: getattr(cfg, name) for name in want} == want
 
 
@@ -432,7 +432,7 @@ class TestBench:
         assert "matrix_family" in capsys.readouterr().err
 
     def test_sweep_plan(self, tmp_path, capsys):
-        # the sweep CSV: its header, then one row per grid point
+        # the success CSV: its header, then one row per grid point, a-major
         d = self.plan_dict()
         d.update({"kind": "sweep", "a_grid": [0.5, 1.0], "p_grid": [0.5, 1.0],
                   "sparsity": 1})
@@ -441,8 +441,9 @@ class TestBench:
         plan.write_text(json.dumps(d))
         assert main(["bench", "--plan", str(plan)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "a,p,sparsity,success_rate"
-        assert [ln.split(",")[:3] for ln in lines[1:]] == [
+        assert lines[0] == CSV_HEADER
+        assert [ln.split(",")[1:3] + ln.split(",")[8:9]
+                for ln in lines[1:]] == [
             [a, p, "1"] for a in ("0.5", "1.0") for p in ("0.5", "1.0")]
 
     def test_shipped_a7_plan_at_one_trial(self):
@@ -466,10 +467,10 @@ class TestBench:
         d = {"family": "gaussian", "M": 16, "N": 32, "sparsities": [1]}
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(d))
-        assert parse_plan_file(str(plan))[1] == ExperimentPlan(
+        assert parse_plan_file(str(plan)) == ExperimentPlan(
             family="gaussian", M=16, N=32, sparsities=(1,))
         assert parse_plan_file(str(plan), trials=3, seed=4,
-                               threshold=0.5)[1] == ExperimentPlan(
+                               threshold=0.5) == ExperimentPlan(
             family="gaussian", M=16, N=32, sparsities=(1,), trials=3,
             master_seed=4, threshold=0.5)
 
@@ -529,8 +530,8 @@ class TestBench:
         path = Path(__file__).resolve().parent.parent / "plans" / \
             "heat_sweep_s24.json"
         raw = json.loads(path.read_text())
-        kind, plan = parse_plan_file(str(path))
-        assert (kind, plan.sparsities) == ("sweep", (24,))
+        plan = parse_plan_file(str(path))
+        assert plan.sparsities == (24,)
         assert plan.solvers == tuple(
             SolverSpec(method="tlp", a=a, p=p, kappa=3.0, lam=1e-6)
             for a, p in itertools.product(raw["a_grid"], raw["p_grid"]))
@@ -551,7 +552,7 @@ class TestBench:
             path.write_text(json.dumps(d))
             cells.append([(c.spec, c.sparsity, c.successes, c.mean_rel_err)
                           for c in run_experiment(
-                              parse_plan_file(str(path))[1]).cells])
+                              parse_plan_file(str(path))).cells])
         assert cells[0] == cells[1]
         assert len(cells[0]) == 4
         assert len({c[2:] for c in cells[0]}) > 1  # the grid points differ
@@ -568,6 +569,23 @@ class TestBench:
         assert main(["bench", "--plan", str(plan)]) == 2
         assert "error: eps0 ** kappa must be a finite float" in \
             capsys.readouterr().err
+        assert calls == []
+
+    def test_dct_param_too_small_for_n_fails_before_any_trial(
+            self, tmp_path, capsys, monkeypatch):
+        # gen_dct's phase test, applied when the plan is built, names the
+        # plan key; gen-matrix keeps its own message (TestGenMatrix)
+        import tlpsparse.bench as bench
+        calls = []
+        monkeypatch.setattr(bench, "run_trial",
+                            lambda *args: calls.append(args))
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({**self.plan_dict(), "family": "dct",
+                                    "param": 1e-320}))
+        assert main(["bench", "--plan", str(plan)]) == 2
+        assert capsys.readouterr().err == (
+            "error: param is too small for N=32: the phases overflow, "
+            "got 1e-320\n")
         assert calls == []
 
     def test_sweep_plan_rejects_sparsities(self, tmp_path, capsys):
@@ -616,9 +634,7 @@ class TestBench:
         files = sorted(plan_dir.glob("*.json"))
         assert files, "shipped plan files are missing"
         for path in files:
-            kind, plan = parse_plan_file(str(path))
-            assert kind in ("success_rate", "sweep")
-            assert plan.trials >= 1
+            assert parse_plan_file(str(path)).trials >= 1
 
     @pytest.mark.parametrize("bad, named", [
         ({"lambda": -1e-6}, "lambda must be positive"),
@@ -687,7 +703,10 @@ class TestBench:
         ({"sparsities": [2, BIG]}, "sparsities must be positive and finite"),
         ({"kind": "sweep", "a_grid": [BIG], "p_grid": [0.7], "sparsity": 1,
           "sparsities": None}, "a_grid must be positive"),
-        ({"sparsities": 5}, "sparsities must be a list of integers, got 5")])
+        ({"sparsities": 5}, "sparsities must be a list of integers, got 5"),
+        ({"kind": "sweep", "a_grid": [1.0], "p_grid": [0.7], "sparsity": 1,
+          "sparsities": None, "family": "dct", "param": 1e-320},
+         "param is too small for N=32: the phases overflow, got 1e-320")])
     def test_bad_plan_numbers_exit_2(self, tmp_path, capsys, over, named):
         # checked before any trial runs, naming the key as written; a None
         # value drops the key from the plan
@@ -1009,7 +1028,7 @@ class TestPlanFileNeverCrashes:
             got = parse_plan_file(str(path))
         except EXIT_CODE_ERRORS:
             return
-        assert got[0] in self.BASES and isinstance(got[1], ExperimentPlan)
+        assert isinstance(got, ExperimentPlan)
 
 
 class TestGenMatrix:

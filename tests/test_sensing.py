@@ -379,7 +379,8 @@ def bits(a):
 
 
 class TestMatrixCsvCache:
-    """load_matrix_csv keeps the last matrix read, keyed by its text."""
+    """load_matrix_csv keeps the last matrix read, keyed by its file's
+    bytes."""
 
     @staticmethod
     def fresh(path):
@@ -438,12 +439,28 @@ class TestMatrixCsvCache:
         A = np.random.default_rng(4).standard_normal((4, 3))
         A[0, 0] = -0.0
         lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        cr = tmp_path / "cr.csv"
         save_matrix_csv(A, str(lf))
         drop_held()
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-        for path in (lf, crlf, lf, crlf):
+        cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+        for path in (lf, crlf, cr, lf, crlf, cr):
             assert np.array_equal(bits(load_matrix_csv(str(path)).entries),
                                   bits(A))
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+    def test_cold_load_is_keyed_by_the_file_bytes(self, tmp_path, ending):
+        # LF, CRLF and lone-CR files each have a key of their own, the
+        # SHA-256 of exactly their bytes, and hit on the next load
+        path = tmp_path / "a.csv"
+        save_matrix_csv(np.random.default_rng(5).standard_normal((3, 4)),
+                        str(path))
+        path.write_bytes(path.read_bytes().replace(b"\n", ending))
+        drop_held()
+        cold = load_matrix_csv(str(path))
+        assert sensing._last_read[0] == hashlib.sha256(
+            path.read_bytes()).digest()
+        assert load_matrix_csv(str(path)) is cold
 
 
 # the values %.17g and the parser find hardest: signed zeros, the smallest
@@ -453,7 +470,7 @@ EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
 
 
 class TestMatrixCsvWriteThrough:
-    """save_matrix_csv holds the matrix it wrote, keyed by the text it
+    """save_matrix_csv holds the matrix it wrote, keyed by the bytes it
     wrote, so the next load of the unchanged file parses nothing."""
 
     def test_load_after_save_returns_the_held_matrix(self, tmp_path,
