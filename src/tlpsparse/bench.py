@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .penalty import PenaltyParams, _finite_number
-from .sensing import (_allocating, _check_dct_phases, derive_seed, gen_dct,
+from .penalty import PenaltyParams, _check_exponent
+from .sensing import (_allocating, _check_family, derive_seed, gen_dct,
                       gen_gaussian, gen_signal)
 from .solver import (Schedule, _check_number, _check_positive,
                      irls_constrained, irls_lq_baseline, irls_tlp)
@@ -62,8 +62,7 @@ class SolverSpec(Schedule):
         for name in ("a", "p", "q"):
             _check_number(name, getattr(self, name), integral=False)
         if self.method == "lq":
-            if not 0 < self.q <= 1:
-                raise ValueError("q must lie in (0, 1]")
+            _check_exponent("q", self.q)
         else:
             PenaltyParams(self.a, self.p)
         if not isinstance(self.label, (str, type(None))):
@@ -104,23 +103,12 @@ class ExperimentPlan:
     timing: bool = True
 
     def __post_init__(self) -> None:
-        if self.family not in ("gaussian", "dct"):
-            raise ValueError("family must be 'gaussian' or 'dct'")
         for name in ("M", "N", "trials"):
             _check_positive(name, getattr(self, name), integral=True)
-        with _allocating(self.M, self.N):  # gen-matrix's size test
-            pass
         _check_number("master_seed", self.master_seed, integral=True)
         _check_number("param", self.param, integral=False)
-        # the generators' own ranges, checked here to name the plan key
-        if self.family == "dct":
-            if not (self.param > 0 and _finite_number(self.param)):
-                raise ValueError(f"param must be positive and finite for "
-                                 f"family dct, got {self.param!r}")
-            _check_dct_phases(self.N, self.param, "param")
-        if self.family == "gaussian" and not 0 <= self.param < 1:
-            raise ValueError(f"param must lie in [0, 1) for family "
-                             f"gaussian, got {self.param!r}")
+        with _allocating(self.M, self.N):  # gen-matrix's own checks
+            _check_family(self.family, self.N, self.param, "param")
         _check_positive("threshold", self.threshold, integral=False)
         if not isinstance(self.timing, bool):
             raise ValueError(f"timing must be true or false, "
@@ -179,12 +167,6 @@ class ExperimentResult:
     records: list[TrialRecord] = field(default_factory=list)
 
 
-def _gen_matrix(plan: ExperimentPlan, seed: int):
-    if plan.family == "gaussian":
-        return gen_gaussian(plan.M, plan.N, plan.param, seed)
-    return gen_dct(plan.M, plan.N, plan.param, seed)
-
-
 def solve(spec: SolverSpec, A, y, s: int):
     """Run the spec's solver on one problem at target sparsity s.
 
@@ -208,7 +190,8 @@ def run_trial(plan: ExperimentPlan, spec: SolverSpec, sparsity: int,
                            trial, 0)
     sig_seed = derive_seed(plan.master_seed, spec.canonical_id, sparsity,
                            trial, 1)
-    A = _gen_matrix(plan, mat_seed)
+    gen = gen_gaussian if plan.family == "gaussian" else gen_dct
+    A = gen(plan.M, plan.N, plan.param, mat_seed)
     truth = gen_signal(plan.N, sparsity, sig_seed)
     y = A.entries @ truth.vector
     t0 = time.perf_counter()

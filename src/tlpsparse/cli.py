@@ -41,8 +41,8 @@ import numpy as np
 
 from . import bench as bench_mod
 from .penalty import PenaltyParams, relaxation_degree
-from .sensing import (gen_dct, gen_gaussian, load_matrix_csv, load_vector,
-                      save_matrix_csv)
+from .sensing import (FAMILIES, gen_dct, gen_gaussian, load_matrix_csv,
+                      load_vector, save_matrix_csv)
 # irls_* are not called here; benchmarks/tracing.py wraps them at install
 from .solver import (Schedule, _check_positive,  # noqa: F401
                      irls_constrained, irls_lq_baseline, irls_tlp)
@@ -306,11 +306,8 @@ def cmd_rd(args) -> int:
 
 
 def cmd_gen_matrix(args) -> int:
-    if args.family == "gaussian":
-        A = gen_gaussian(args.M, args.N, args.param, args.seed)
-    else:
-        A = gen_dct(args.M, args.N, args.param, args.seed)
-    save_matrix_csv(A, args.out)
+    gen = gen_gaussian if args.family == "gaussian" else gen_dct
+    save_matrix_csv(gen(args.M, args.N, args.param, args.seed), args.out)
     return 0
 
 
@@ -359,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(func=cmd_rd)
 
     pg = sub.add_parser("gen-matrix", help="generate a matrix CSV file")
-    pg.add_argument("--family", choices=("gaussian", "dct"), required=True)
+    pg.add_argument("--family", choices=FAMILIES, required=True)
     pg.add_argument("--M", type=int, required=True)
     pg.add_argument("--N", type=int, required=True)
     pg.add_argument("--param", type=float, required=True)

@@ -29,6 +29,12 @@ def _finite_number(value) -> bool:
         return False
 
 
+def _check_exponent(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless 0 < value <= 1."""
+    if not 0 < value <= 1:
+        raise ValueError(f"{name} must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class PenaltyParams:
     """Shape parameters of the transformed-lp kernel.
@@ -43,8 +49,7 @@ class PenaltyParams:
     def __post_init__(self) -> None:
         if not (self.a > 0 and _finite_number(self.a)):
             raise ValueError("a must be positive")
-        if not (0 < self.p <= 1):
-            raise ValueError("p must lie in (0, 1]")
+        _check_exponent("p", self.p)
 
 
 def rho(params: PenaltyParams, t):
@@ -64,8 +69,7 @@ def penalty_tlp(params: PenaltyParams, x) -> float:
 
 def penalty_lp(p: float, x) -> float:
     """lp quasi-norm to the p-th power, ``sum |x_i|^p``, for 0 < p <= 1."""
-    if not (0 < p <= 1):
-        raise ValueError("p must lie in (0, 1]")
+    _check_exponent("p", p)
     return float(np.sum(np.abs(np.asarray(x, dtype=float)) ** p))
 
 

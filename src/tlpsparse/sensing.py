@@ -140,12 +140,31 @@ def _allocating(M: int, N: int):
                          f"memory at M={M}, N={N}") from None
 
 
+FAMILIES = ("gaussian", "dct")
+
+
+def _check_family(family: str, N: int, param, name: str) -> None:
+    """Raise ValueError, naming ``param`` as ``name``, unless ``family`` is
+    in FAMILIES and ``param`` in its range for N columns: gaussian r in
+    [0, 1), dct F > 0 and finite, with finite phases 2 pi (N-1) / F."""
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    if family == "gaussian" and not 0 <= param < 1:
+        raise ValueError(f"{name} must lie in [0, 1) for family gaussian, "
+                         f"got {param!r}")
+    if family == "dct" and not (param > 0 and _finite_number(param)):
+        raise ValueError(f"{name} must be positive and finite for family "
+                         f"dct, got {param!r}")
+    if family == "dct" and not math.isfinite(2 * math.pi * (N - 1) / param):
+        raise ValueError(f"{name} is too small for N={N}: the phases "
+                         f"overflow, got {param!r}")
+
+
 def gen_gaussian(M: int, N: int, r: float, seed: int) -> SensingMatrix:
     """Rows i.i.d. from N(0, (1-r) I + r J); r = 0 is the classic i.i.d.
     case."""
-    if not (0.0 <= r < 1.0):
-        raise ValueError("correlation r must lie in [0, 1)")
     with _allocating(M, N):
+        _check_family("gaussian", N, r, "correlation r")
         rng = _rng(seed)
         z = rng.standard_normal((M, N))
         g = rng.standard_normal((M, 1))
@@ -153,21 +172,10 @@ def gen_gaussian(M: int, N: int, r: float, seed: int) -> SensingMatrix:
         return SensingMatrix(entries=entries)
 
 
-def _check_dct_phases(N: int, F: float, name: str) -> None:
-    """Raise ValueError, naming F as ``name``, if the phases 2 pi i w / F
-    of an N-column DCT matrix (i < N, w < 1) overflow; F > 0 is finite."""
-    if not math.isfinite(2.0 * math.pi * (N - 1) / F):
-        raise ValueError(f"{name} is too small for N={N}: the phases "
-                         f"overflow, got {F!r}")
-
-
 def gen_dct(M: int, N: int, F: float, seed: int) -> SensingMatrix:
     """Over-sampled DCT columns sharing one random frequency vector."""
-    if not (F > 0 and _finite_number(F)):
-        raise ValueError(f"frequency parameter F must be positive and "
-                         f"finite, got {F!r}")
     with _allocating(M, N):
-        _check_dct_phases(N, F, "frequency parameter F")
+        _check_family("dct", N, F, "frequency parameter F")
         rng = _rng(seed)
         w = rng.random(M)
         idx = np.arange(N)

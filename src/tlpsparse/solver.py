@@ -34,7 +34,8 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError, null_space
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrs
 
-from .penalty import PenaltyParams, _finite_number, penalty_tlp, penalty_lp
+from .penalty import (PenaltyParams, _check_exponent, _finite_number,
+                      penalty_lp, penalty_tlp)
 from .sensing import SensingMatrix, _as_matrix
 
 
@@ -115,7 +116,7 @@ class SolveResult:
     iteration (Q for the regularized solvers, the penalty value for the
     constrained one); ``j_trace`` is only filled by the constrained
     solver and holds the surrogate functional at matched weights.
-    ``converged`` is one of ``sparsity_reached``, ``step_converged``,
+    ``status`` is one of ``sparsity_reached``, ``step_converged``,
     ``max_iters``, or ``not_finite`` when the run stopped at the first
     iterate holding a NaN or an infinity (x is that iterate).
 
@@ -132,7 +133,7 @@ class SolveResult:
     outer_iters: int
     total_inner_iters: int
     final_eps: float
-    converged: str
+    status: str
     residual: float
     objective_trace: list[float] = field(default_factory=list)
     j_trace: list[float] | None = None
@@ -232,15 +233,16 @@ def _scaled_gram(A: np.ndarray, scale: np.ndarray) -> np.ndarray:
 def _cho_factor_spd(B: np.ndarray):
     """Cholesky factor of the SPD matrix B, read from its upper triangle.
 
-    If B is numerically singular, a ridge of 1e-12 trace(B) is added to its
-    diagonal in place, with a RuntimeWarning, and B is factored again.
+    If B is numerically singular, a ridge of 1e-12 trace(B), or 1e-12 if
+    that is 0 (B = 0, as for A = 0), is added to its diagonal in place,
+    with a RuntimeWarning, and B is factored again.
     """
     try:
         return cho_factor(B, check_finite=False)
     except LinAlgError:
         warnings.warn("SPD system is numerically singular; adding a tiny "
                       "ridge", RuntimeWarning, stacklevel=3)
-        B[np.diag_indices_from(B)] += 1e-12 * float(np.trace(B))
+        B[np.diag_indices_from(B)] += 1e-12 * float(np.trace(B)) or 1e-12
         return cho_factor(B, check_finite=False)
 
 
@@ -398,7 +400,7 @@ def _reweight(A: np.ndarray, y: np.ndarray, s: int, cfg: Schedule,
     first.
 
     Returns the ``SolveResult`` named ``name`` with the fields every
-    solver shares filled in: x, outer_iters, final_eps, converged, the
+    solver shares filled in: x, outer_iters, final_eps, status, the
     residual ||A x - y||, total_inner_iters (the steps' counts summed),
     and objective_trace, eps_trace and w_inf_trace (one entry per outer
     iteration; the last two at the eps its weights were frozen at).  The
@@ -445,7 +447,7 @@ def _reweight(A: np.ndarray, y: np.ndarray, s: int, cfg: Schedule,
         tail_old = tail
     return SolveResult(
         solver=name, x=x, outer_iters=len(eps_trace),
-        total_inner_iters=inner, final_eps=eps, converged=status,
+        total_inner_iters=inner, final_eps=eps, status=status,
         residual=float(np.linalg.norm(A @ x - y)), objective_trace=obj_trace,
         eps_trace=eps_trace, w_inf_trace=w_inf_trace), w
 
@@ -615,8 +617,7 @@ def irls_lq_baseline(A, y, q: float, s: int,
     the transformed-lp solver's (``_reweight``), which makes success-rate
     comparisons schedule-for-schedule fair.
     """
-    if not (0 < q <= 1):
-        raise ValueError("q must lie in (0, 1]")
+    _check_exponent("q", q)
     A, y = _problem(A, y, s)
     A = A.entries
     zero = np.zeros(A.shape[1])

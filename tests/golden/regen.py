@@ -7,7 +7,10 @@ The records are those ``tests/test_acceptance.py`` compares.
 status, outer_iters, total_inner_iters, rel_err]``;
 ``heat_sweep_s24.json`` one line per cell of ``bench --plan
 plans/heat_sweep_s24.json --trials 1``, ``[a, p, successes,
-mean_rel_err]``.  They are computed in a subprocess with
+mean_rel_err]``; ``solve_out.json`` one line per ``solve --out`` JSON of
+each method on each of the files workload's shapes, keyed
+``family.method``, without ``wall_time_ms``.  They are computed in a
+subprocess with
 ``OPENBLAS_NUM_THREADS=1``, so the caller's BLAS threads cannot move them.
 Regenerating is a data change: a commit that does it says what moved and
 why.
@@ -17,6 +20,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent.parent
@@ -34,6 +38,11 @@ def write() -> None:
     cells = {s: acc.run_phase_cell(s) for s in acc.A7_SPARSITIES}
     dump(acc.GOLDEN_A7, acc.a7_records(cells))
     dump(acc.GOLDEN_HEAT, acc.heat_sweep_records())
+    with tempfile.TemporaryDirectory() as workdir:
+        records = acc.solve_out_records(Path(workdir))
+    rows = ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                      for k, v in records.items())
+    acc.GOLDEN_SOLVE.write_text(f"{{\n{rows}\n}}\n")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from tlpsparse.solver import (Schedule, dca_subproblem, grad_phi_w,
                               irls_constrained, irls_lq_baseline, irls_tlp)
 from tlpsparse.theory import rip_bound, solve_eta0
 
-from oracles import phi_w
+from oracles import l1_transition, phi_w
 
 MASTER_SEED = 1234
 
@@ -195,7 +198,7 @@ GOLDEN_A7 = Path(__file__).parent / "golden" / "a7_tlp.json"
 def a7_records(cells) -> list[list]:
     """Per trial of the a7 cells: [s, t, status, outer_iters,
     total_inner_iters, rel_err]."""
-    return [[s, t, res.converged, res.outer_iters, res.total_inner_iters, rel]
+    return [[s, t, res.status, res.outer_iters, res.total_inner_iters, rel]
             for s, cell in cells.items()
             for t, (rel, res, _) in enumerate(cell)]
 
@@ -213,18 +216,38 @@ def test_a7_phase_transition(phase_cells):
             f"{rate32:.2f} <= 0.3 at s=32 (20 trials each)")
 
 
+def check_a7_golden(got: list[list], name: str = "A7-golden") -> None:
+    want = json.loads(GOLDEN_A7.read_text())
+    moved = [g for g, w in zip(got, want) if g[:5] != w[:5]
+             or not math.isclose(g[5], w[5], rel_tol=1e-6)]
+    _report(name, len(got) == len(want) and not moved,
+            f"{len(got)} trials against {len(want)} in {GOLDEN_A7.name}: "
+            f"statuses and counts equal, rel_err within rtol 1e-6; "
+            f"moved: {moved[:3]}")
+
+
 def test_a7_golden_records(phase_cells):
     # statuses and counts held exactly under OpenBLAS's SkylakeX, Haswell,
     # Sandybridge and Nehalem kernels and at 1 and 2 threads, while rel_err
     # moved by at most 1.8e-9 relative; tests/golden/regen.py rewrites it
-    want = json.loads(GOLDEN_A7.read_text())
-    got = a7_records(phase_cells)
-    moved = [g for g, w in zip(got, want) if g[:5] != w[:5]
-             or not math.isclose(g[5], w[5], rel_tol=1e-6)]
-    _report("A7-golden", len(got) == len(want) and not moved,
-            f"{len(got)} trials against {len(want)} in {GOLDEN_A7.name}: "
-            f"statuses and counts equal, rel_err within rtol 1e-6; "
-            f"moved: {moved[:3]}")
+    check_a7_golden(a7_records(phase_cells))
+
+
+def test_a7_golden_records_under_other_kernels():
+    # the claim above, rerun in a fresh process under OpenBLAS's Haswell
+    # kernels (AVX2) at one thread; numpy's and scipy's OpenBLAS builds pick
+    # their kernels at load time from OPENBLAS_CORETYPE, and a BLAS that is
+    # not OpenBLAS ignores it, so this then repeats the test above
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               OPENBLAS_NUM_THREADS="1")
+    # run from this process's directory, which a relative PYTHONPATH needs
+    code = (f"import json, sys; sys.path.insert(0, "
+            f"{str(Path(__file__).parent)!r}); import test_acceptance as acc; "
+            f"print(json.dumps(acc.a7_records({{s: acc.run_phase_cell(s) "
+            f"for s in acc.A7_SPARSITIES}})))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    check_a7_golden(json.loads(out), "A7-golden-Haswell")
 
 
 HEAT_SWEEP = Path(__file__).resolve().parent.parent / "plans" / \
@@ -257,6 +280,70 @@ def test_heat_sweep_golden_records():
             f"{len(got)} cells against {len(want)} in {GOLDEN_HEAT.name}: "
             f"a, p and successes equal, mean_rel_err within rtol 1e-6; "
             f"moved: {moved[:3]}")
+
+
+# the files workload's shapes, as (family, M, N, param, s, seed): the
+# matrix is drawn with ``seed`` and the signal with ``seed + 1``
+SOLVE_FILES = (("gaussian", 256, 1024, 0.0, 20, 7),
+               ("dct", 100, 1500, 1.0, 6, 9))
+GOLDEN_SOLVE = Path(__file__).parent / "golden" / "solve_out.json"
+
+
+def solve_out_records(workdir: Path) -> dict:
+    """The ``solve --out`` JSON of tlp, lq and constrained on each
+    SOLVE_FILES problem, run through ``cli.main`` on files in
+    ``workdir``, keyed ``family.method``, without ``wall_time_ms``."""
+    records = {}
+    for family, M, N, param, s, seed in SOLVE_FILES:
+        matrix = workdir / f"{family}.csv"
+        truth = workdir / f"{family}.truth.txt"
+        assert main(["gen-matrix", "--family", family, "--M", str(M),
+                     "--N", str(N), "--param", repr(param),
+                     "--seed", str(seed), "--out", str(matrix)]) == 0
+        x0 = gen_signal(N, s, seed + 1).vector
+        truth.write_text("".join(f"{v!r}\n" for v in x0.tolist()))
+        for method in ("tlp", "lq", "constrained"):
+            out = workdir / f"{family}.{method}.json"
+            assert main(["solve", "--matrix", str(matrix), "--truth",
+                         str(truth), "--s", str(s), "--method", method,
+                         "--out", str(out)]) == 0
+            record = json.loads(out.read_text())
+            del record["wall_time_ms"]
+            records[f"{family}.{method}"] = record
+    return records
+
+
+def solve_out_close(got, want) -> bool:
+    """Equal, item by item and key by key, but that floats need only lie
+    within rtol 1e-6 or 1e-12 absolute."""
+    if isinstance(want, float):
+        return isinstance(got, float) and math.isclose(
+            got, want, rel_tol=1e-6, abs_tol=1e-12)
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(map(solve_out_close, got, want)))
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(solve_out_close(got[k], want[k]) for k in want))
+    return type(got) is type(want) and got == want
+
+
+def test_solve_out_golden_records(tmp_path):
+    # solver, status, the counts and every trace length held exactly under
+    # OpenBLAS's SkylakeX, Haswell, Sandybridge and Nehalem kernels at 1
+    # thread and SkylakeX and Haswell at 2.  The floats moved by at most
+    # 1.2e-8 relative, or by at most 2.8e-14 where that was more: round-off
+    # values (x off its support, the constrained residual, final_grad_inf)
+    # and the tails computed from x (final_eps, rel_err);
+    # tests/golden/regen.py rewrites it
+    want = json.loads(GOLDEN_SOLVE.read_text())
+    got = solve_out_records(tmp_path)
+    moved = [k for k in sorted(want.keys() | got.keys())
+             if not solve_out_close(got.get(k), want.get(k))]
+    _report("SOLVE-golden", not moved,
+            f"{len(got)} solve --out records against {len(want)} in "
+            f"{GOLDEN_SOLVE.name}: all but floats equal, floats within "
+            f"rtol 1e-6 or 1e-12 absolute; moved: {moved}")
 
 
 def test_a8_dct_coherence():
@@ -312,3 +399,43 @@ def test_baseline_comparison_at_s24():
     _report("BASELINE", tlp_rate >= lq_rate,
             f"tlp(a=1,p=0.7) rate {tlp_rate:.2f} >= l_0.5 baseline rate "
             f"{lq_rate:.2f} at s=24 (20 trials)")
+
+
+def test_l1_transition_at_desk_scale():
+    # the l1 statistical dimension crosses M = 64 in R^256 at s* = 17.1125,
+    # with the integral in closed form and by quadrature alike
+    from scipy.integrate import quad
+
+    def quad_tail2(tau):
+        val, _ = quad(lambda u: (u - tau) ** 2 * math.exp(-u * u / 2.0),
+                      tau, math.inf, epsabs=1e-14, epsrel=1e-13)
+        return math.sqrt(2.0 / math.pi) * val
+
+    s_star = l1_transition(64, 256)
+    gap = abs(s_star - l1_transition(64, 256, quad_tail2))
+    _report("L1-line", round(s_star, 4) == 17.1125 and gap < 1e-9,
+            f"s* = {s_star:.6f} (17.1125 to 4 decimals), closed form and "
+            f"quadrature within {gap:.1e} < 1e-9")
+
+
+def test_l1_harness_brackets_the_l1_line():
+    # IRLS-l1 (lq at q = 1) on 20 problems per s, 64 x 256 Gaussian: the
+    # harness should recover nearly all well below s* and nearly none well
+    # above.  The bounds split near-certain outcomes from the transition's
+    # midpoint: were the success rate 0.95 at s = 12, fewer than 15
+    # successes would have probability 3e-4, and were it 0.5 (s* moved to
+    # 12), 15 or more would have 0.02; s = 22 mirrors this.  Measured: 19
+    # and 0.
+    s_star = l1_transition(64, 256)
+    counts = {}
+    for s in (12, 22):
+        counts[s] = 0
+        for t in range(20):
+            A = gen_gaussian(64, 256, 0.0, derive_seed(11, s, t, 0))
+            x0 = gen_signal(256, s, derive_seed(11, s, t, 1)).vector
+            x = irls_lq_baseline(A, A.entries @ x0, 1.0, s).x
+            counts[s] += np.linalg.norm(x - x0) < 1e-3 * np.linalg.norm(x0)
+    ok = 12 < s_star < 22 and counts[12] >= 15 and counts[22] <= 5
+    _report("L1-harness", ok,
+            f"IRLS-l1 recovered {counts[12]}/20 at s = 12 >= 15 and "
+            f"{counts[22]}/20 at s = 22 <= 5, around s* = {s_star:.2f}")

@@ -59,7 +59,20 @@ class TestSolve:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert np.allclose(payload["x"], [3.0, 0.0, 0.0, 0.0], atol=1e-3)
-        assert payload["converged"] in ("sparsity_reached", "step_converged")
+        assert payload["status"] in ("sparsity_reached", "step_converged")
+
+    def test_constrained_on_zero_matrix_exit_0(self, tmp_path, capsys):
+        # the ridged step on A = 0 returns x = 0, not a LAPACK error
+        A, y = tmp_path / "A.csv", tmp_path / "y.txt"
+        save_matrix_csv(np.zeros((4, 8)), str(A))
+        write_vector(y, [0.0] * 4)
+        with pytest.warns(RuntimeWarning, match="ridge"):
+            code = main(["solve", f"--matrix={A}", f"--measurements={y}",
+                         "--s=2", "--method=constrained"])
+        assert code == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["x"] == [0.0] * 8
+        assert payload["status"] == "step_converged"
 
     def test_truth_gives_rel_err(self, tmp_path, identity_matrix, capsys):
         t = tmp_path / "x0.txt"
@@ -573,8 +586,8 @@ class TestBench:
 
     def test_dct_param_too_small_for_n_fails_before_any_trial(
             self, tmp_path, capsys, monkeypatch):
-        # gen_dct's phase test, applied when the plan is built, names the
-        # plan key; gen-matrix keeps its own message (TestGenMatrix)
+        # sensing's family rule, applied when the plan is built, names the
+        # plan key; gen-matrix names F (TestGenMatrix)
         import tlpsparse.bench as bench
         calls = []
         monkeypatch.setattr(bench, "run_trial",
@@ -1047,8 +1060,10 @@ class TestGenMatrix:
                      "--out", str(tmp_path / "a.csv")]) == 2
 
     @pytest.mark.parametrize("family, param, seed, named", [
-        ("dct", "inf", "1", "F must be positive and finite, got inf"),
-        ("dct", "nan", "1", "F must be positive and finite, got nan"),
+        ("dct", "inf", "1",
+         "F must be positive and finite for family dct, got inf"),
+        ("dct", "nan", "1",
+         "F must be positive and finite for family dct, got nan"),
         ("gaussian", "0.0", "-1",
          "seed must be a non-negative integer, got -1"),
         ("dct", "10", "-1", "seed must be a non-negative integer, got -1")])
@@ -1074,6 +1089,27 @@ class TestGenMatrix:
         assert err == (f"error: an M x N matrix of floats does not fit in "
                        f"memory at M={M}, N={N}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("family, param", [
+        ("gaussian", 1.5), ("gaussian", -0.1), ("gaussian", math.nan),
+        ("dct", 0.0), ("dct", -math.inf), ("dct", 1e-320)])
+    def test_gen_matrix_and_plan_share_the_family_rule(self, tmp_path,
+                                                       family, param):
+        # one rule in sensing, worded alike but for the key each wrote
+        gen = run_main(["gen-matrix", f"--family={family}", "--M=4",
+                        "--N=8", f"--param={param!r}", "--seed=1",
+                        f"--out={tmp_path / 'a.csv'}"])
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"family": family, "M": 4, "N": 8,
+                                    "param": param, "sparsities": [2]}))
+        bench = run_main(["bench", f"--plan={plan}"])
+        name = {"gaussian": "correlation r",
+                "dct": "frequency parameter F"}[family]
+        assert (gen[0], bench[0]) == (2, 2)
+        assert gen[2].startswith(f"error: {name} ")
+        assert bench[2].startswith("error: param ")
+        assert gen[2][len(f"error: {name}"):] == \
+            bench[2][len("error: param"):]
 
     def test_dct_phase_overflow_exit_2_without_warning(self, tmp_path):
         out = tmp_path / "a.csv"

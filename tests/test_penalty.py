@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tlpsparse.bench import SolverSpec
 from tlpsparse.penalty import (PenaltyParams, penalty_lap, penalty_lp,
                                penalty_tlp, rd_numeric_oracle,
                                relaxation_degree, rho)
+from tlpsparse.solver import irls_lq_baseline
 
 a_vals = st.floats(min_value=1e-3, max_value=100.0)
 p_vals = st.floats(min_value=1e-3, max_value=1.0)
@@ -27,6 +29,18 @@ class TestParams:
             PenaltyParams(1.0, 0.0)
         with pytest.raises(ValueError):
             PenaltyParams(1.0, 1.5)
+
+    @pytest.mark.parametrize("value", [0.0, 1.5, math.nan])
+    @pytest.mark.parametrize("call, name", [
+        (lambda v: PenaltyParams(1.0, v), "p"),
+        (lambda v: penalty_lp(v, [1.0]), "p"),
+        (lambda v: irls_lq_baseline(np.eye(2), np.ones(2), v, 1), "q"),
+        (lambda v: SolverSpec(method="lq", q=v), "q")],
+        ids=["PenaltyParams", "penalty_lp", "irls_lq_baseline", "SolverSpec"])
+    def test_one_exponent_rule_names_each_key(self, call, name, value):
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must lie in \(0, 1\]$"):
+            call(value)
 
 
 class TestRho:

@@ -307,7 +307,7 @@ class TestSpdRoutes:
             y = A.entries @ gen_signal(256, s, seed=72 + s).vector
             for res in (irls_tlp(A, y, PenaltyParams(1, 0.7), s),
                         irls_lq_baseline(A, y, 0.5, s)):
-                statuses.add(res.converged)
+                statuses.add(res.status)
         assert statuses == {"sparsity_reached", "step_converged"}
         assert len(errs) > 2000
         assert max(errs) <= 1e-14
@@ -410,8 +410,8 @@ def test_memory_layout_moves_no_bit(solve):
                                       SensingMatrix(entries=fortran))]
     for r in runs[1:]:
         assert np.array_equal(r.x.view(np.int64), runs[0].x.view(np.int64))
-        assert ((r.converged, r.outer_iters, r.total_inner_iters)
-                == (runs[0].converged, runs[0].outer_iters,
+        assert ((r.status, r.outer_iters, r.total_inner_iters)
+                == (runs[0].status, runs[0].outer_iters,
                     runs[0].total_inner_iters))
 
 
@@ -439,7 +439,7 @@ class TestIrlsTlp:
     def test_zero_measurements(self):
         res = irls_tlp(np.eye(8), np.zeros(8), PenaltyParams(1, 0.7), 2)
         assert np.all(res.x == 0.0)
-        assert res.converged == "sparsity_reached"
+        assert res.status == "sparsity_reached"
         assert res.outer_iters == 1
 
     def test_recovers_sparse_signal(self):
@@ -451,7 +451,7 @@ class TestIrlsTlp:
         rel = np.linalg.norm(res.x - truth.vector) / np.linalg.norm(truth.vector)
         assert rel < 1e-3
         assert res.residual < 1e-6 * np.linalg.norm(y)
-        if res.converged == "sparsity_reached":
+        if res.status == "sparsity_reached":
             assert tail_magnitude(res.x, 10) < cfg.outer_tol_mag
 
     @pytest.mark.parametrize("method", SOLVERS)
@@ -535,7 +535,7 @@ class TestIrlsTlp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = irls_tlp(A, y, PenaltyParams(a, 0.7), 2)
-        assert res.converged == "not_finite"
+        assert res.status == "not_finite"
         assert res.outer_iters <= 2
         assert not np.isfinite(res.x).all()
 
@@ -593,7 +593,7 @@ class TestInnerTolEps:
         assert got.final_eps == run.final_eps
         assert got.outer_iters == run.outer_iters
         assert got.total_inner_iters == sum(len(t) - 1 for t in inner)
-        assert got.converged == run.converged
+        assert got.status == run.status
         assert np.linalg.norm(got.x - x0) < 1e-3 * np.linalg.norm(x0)
 
     @pytest.mark.parametrize("s, seed, recovered, default, fixed", [
@@ -717,6 +717,16 @@ class TestIrlsConstrained:
         assert plain.total_inner_iters == plain.outer_iters
         assert exact.total_inner_iters > exact.outer_iters
 
+    def test_zero_matrix_returns_zero(self):
+        # A = 0 makes A D A^T and its trace 0, so the ridge falls back to
+        # 1e-12 and the step returns x = 0, the sparsest x of all those
+        # A x = 0 allows; the step stop ends the run after one step
+        with pytest.warns(RuntimeWarning, match="ridge"):
+            res = irls_constrained(np.zeros((4, 8)), np.zeros(4),
+                                   PenaltyParams(1.0, 0.7), 2)
+        assert np.all(res.x == 0.0)
+        assert (res.status, res.outer_iters) == ("step_converged", 1)
+
     @pytest.mark.parametrize("M, N, seed, a, scale", [
         (32, 64, 3, 1e308, 1.0), (16, 48, 5, 1.0, 1e160)],
         ids=["huge-a", "huge-y"])
@@ -729,7 +739,7 @@ class TestIrlsConstrained:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = irls_constrained(A, y, PenaltyParams(a, 0.7), 4)
-        assert res.converged == "not_finite"
+        assert res.status == "not_finite"
         assert np.isnan(res.x).all()
         assert res.outer_iters == len(res.w_inf_trace) >= 1
 
@@ -806,10 +816,10 @@ class TestReweight:
     def test_alternating_step_with_equal_tails(self):
         cfg = Schedule(outer_max=7)
         run = self.reweight(cfg, self.alternate)
-        assert (run.outer_iters, run.converged) == (2, "step_converged")
+        assert (run.outer_iters, run.status) == (2, "step_converged")
         assert run.eps_trace == [1.0, 0.5]
         run = self.reweight(cfg, self.alternate, stop_on_step=True)
-        assert (run.outer_iters, run.converged) == (7, "max_iters")
+        assert (run.outer_iters, run.status) == (7, "max_iters")
 
     def test_step_that_stays_at_zero(self):
         def stay(x, w, eps):
@@ -818,9 +828,9 @@ class TestReweight:
 
         cfg = Schedule()
         run = self.reweight(cfg, stay)
-        assert (run.outer_iters, run.converged) == (1, "sparsity_reached")
+        assert (run.outer_iters, run.status) == (1, "sparsity_reached")
         run = self.reweight(cfg, stay, stop_on_step=True)
-        assert (run.outer_iters, run.converged) == (1, "step_converged")
+        assert (run.outer_iters, run.status) == (1, "step_converged")
 
     def test_stops_at_the_first_non_finite_iterate(self):
         # the iterate is tested, not the objective, which may overflow
@@ -832,14 +842,14 @@ class TestReweight:
 
         for stop_on_step in (False, True):
             run = self.reweight(Schedule(), step, stop_on_step)
-            assert (run.outer_iters, run.converged) == (2, "not_finite")
+            assert (run.outer_iters, run.status) == (2, "not_finite")
             assert run.objective_trace == [np.inf, 0.0]
             assert run.total_inner_iters == 7
 
     def test_eps_underflow_freezes_at_start(self):
         cfg = Schedule(eps0=1e-120)  # eps0^3 underflows to 0
         run = self.reweight(cfg, self.alternate)
-        assert (run.outer_iters, run.converged) == (0, "sparsity_reached")
+        assert (run.outer_iters, run.status) == (0, "sparsity_reached")
         assert np.array_equal(run.x, np.zeros(4)) and run.eps_trace == []
 
     @pytest.mark.parametrize("kappa", [3, 50, 200, 400])
@@ -852,7 +862,7 @@ class TestReweight:
         y = A @ gen_signal(64, 5, seed=4).vector
         cfg = Schedule(kappa=kappa)
         res = SOLVERS[method](A, y, 5, cfg)
-        if res.converged == "sparsity_reached":
+        if res.status == "sparsity_reached":
             assert tail_magnitude(res.x, 5) < cfg.outer_tol_mag
 
 
@@ -881,8 +891,8 @@ class TestMetamorphic:
         # the base problem, and its x, to rounding, once ``back`` maps x
         base = TestMetamorphic.base(method, s)
         got = SOLVERS[method](A, y, s)
-        assert (got.converged, got.outer_iters, got.total_inner_iters) == \
-            (base.converged, base.outer_iters, base.total_inner_iters)
+        assert (got.status, got.outer_iters, got.total_inner_iters) == \
+            (base.status, base.outer_iters, base.total_inner_iters)
         x = back(got.x)
         assert np.max(np.abs(x - base.x)) <= 1e-12
         x0 = gen_signal(48, s, seed=6).vector
@@ -959,8 +969,8 @@ class TestMetamorphic:
         base = SOLVERS[method](A, y, s)
         got = SOLVERS[method](A * d, sign * y, s)
         assert np.array_equal(got.x, sign * d * base.x)
-        assert (got.outer_iters, got.total_inner_iters, got.converged) == \
-            (base.outer_iters, base.total_inner_iters, base.converged)
+        assert (got.outer_iters, got.total_inner_iters, got.status) == \
+            (base.outer_iters, base.total_inner_iters, base.status)
         assert got.objective_trace == base.objective_trace
         x0 = gen_signal(48, s, seed=6).vector
         success = [np.linalg.norm(x - truth) / np.linalg.norm(x0) < 1e-3
