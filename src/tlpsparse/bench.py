@@ -31,11 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .penalty import PenaltyParams, _check_exponent
+from .penalty import (PenaltyParams, _check_exponent, _check_number,
+                      _check_positive)
 from .sensing import (_allocating, _check_family, derive_seed, gen_dct,
                       gen_gaussian, gen_signal)
-from .solver import (Schedule, _check_number, _check_positive,
-                     irls_constrained, irls_lq_baseline, irls_tlp)
+from .solver import Schedule, irls_constrained, irls_lq_baseline, irls_tlp
 
 CSV_HEADER = ("solver,a,p,kappa,family,M,N,param,sparsity,trials,"
               "successes,success_rate,mean_rel_err,mean_time_ms")
@@ -59,12 +59,8 @@ class SolverSpec(Schedule):
         super().__post_init__()
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        for name in ("a", "p", "q"):
-            _check_number(name, getattr(self, name), integral=False)
-        if self.method == "lq":
-            _check_exponent("q", self.q)
-        else:
-            PenaltyParams(self.a, self.p)
+        PenaltyParams(self.a, self.p)
+        _check_exponent("q", self.q)
         if not isinstance(self.label, (str, type(None))):
             raise ValueError(f"label must be a string or null, "
                              f"got {self.label!r}")
@@ -103,10 +99,8 @@ class ExperimentPlan:
     timing: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("M", "N", "trials"):
-            _check_positive(name, getattr(self, name), integral=True)
+        _check_positive("trials", self.trials, integral=True)
         _check_number("master_seed", self.master_seed, integral=True)
-        _check_number("param", self.param, integral=False)
         with _allocating(self.M, self.N):  # gen-matrix's own checks
             _check_family(self.family, self.N, self.param, "param")
         _check_positive("threshold", self.threshold, integral=False)

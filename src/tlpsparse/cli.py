@@ -40,12 +40,12 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from . import bench as bench_mod
-from .penalty import PenaltyParams, relaxation_degree
+from .penalty import KINDS, PenaltyParams, _check_positive, relaxation_degree
 from .sensing import (FAMILIES, gen_dct, gen_gaussian, load_matrix_csv,
                       load_vector, save_matrix_csv)
 # irls_* are not called here; benchmarks/tracing.py wraps them at install
-from .solver import (Schedule, _check_positive,  # noqa: F401
-                     irls_constrained, irls_lq_baseline, irls_tlp)
+from .solver import (Schedule, irls_constrained,  # noqa: F401
+                     irls_lq_baseline, irls_tlp)
 from .theory import rip_bound, stability_constants
 
 
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=cmd_rip_bound)
 
     pd = sub.add_parser("rd", help="relaxation degree of a penalty")
-    pd.add_argument("--kind", choices=("tlp", "lp", "lap"), required=True)
+    pd.add_argument("--kind", choices=KINDS, required=True)
     pd.add_argument("--a", type=float, required=True)
     pd.add_argument("--p", type=float, required=True)
     pd.add_argument("--N", type=int, required=True)

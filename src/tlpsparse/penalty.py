@@ -14,8 +14,8 @@ penalty sits closer to l0.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -29,8 +29,27 @@ def _finite_number(value) -> bool:
         return False
 
 
+def _is_number(value, integral: bool) -> bool:
+    """An integer if ``integral``, else any real number; a bool is neither."""
+    return (isinstance(value, Integral if integral else Real)
+            and not isinstance(value, bool))
+
+
+def _check_number(name: str, value, integral: bool) -> None:
+    if not _is_number(value, integral):
+        what = "an integer" if integral else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_positive(name: str, value, integral: bool) -> None:
+    _check_number(name, value, integral)
+    if not (value > 0 and _finite_number(value)):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def _check_exponent(name: str, value) -> None:
     """Raise ValueError naming ``name`` unless 0 < value <= 1."""
+    _check_number(name, value, integral=False)
     if not 0 < value <= 1:
         raise ValueError(f"{name} must lie in (0, 1]")
 
@@ -47,8 +66,7 @@ class PenaltyParams:
     p: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0 and _finite_number(self.a)):
-            raise ValueError("a must be positive")
+        _check_positive("a", self.a, integral=False)
         _check_exponent("p", self.p)
 
 
@@ -85,7 +103,14 @@ def penalty_lap(params: PenaltyParams, x) -> float:
     return float(np.sum(ratio ** params.p))
 
 
-_KINDS = ("tlp", "lp", "lap")
+KINDS = ("tlp", "lp", "lap")
+
+
+def _check_kind(kind: str, N: int) -> None:
+    """Raise ValueError unless ``kind`` is in KINDS and N is a count."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    _check_positive("N", N, integral=True)
 
 
 def _pow(x: float, y: float) -> float:
@@ -109,12 +134,7 @@ def relaxation_degree(kind: str, params: PenaltyParams, N: int) -> float:
     Where N^(1/p) overflows, lap returns its limit 0.0, as tlp and lp do
     when their powers underflow.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if N > sys.float_info.max:
-        raise ValueError(f"N={N} does not fit in a float")
+    _check_kind(kind, N)
     if N == 1:
         return 1.0
     a, p = params.a, params.p
@@ -142,10 +162,7 @@ def rd_numeric_oracle(kind: str, params: PenaltyParams, N: int) -> float:
     sqrt(N) * t*.  The unit root lies in (0, 1] because the all-ones
     diagonal vector has penalty N * rho(1) = N >= 1.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
+    _check_kind(kind, N)
     lo, hi = 0.0, 1.0
     if _diag_penalty(kind, params, N, hi) < 1.0:
         raise RuntimeError("penalty of the all-ones diagonal vector is below "

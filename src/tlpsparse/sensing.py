@@ -29,15 +29,15 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .penalty import _finite_number
+from .penalty import (_check_number, _check_positive, _finite_number,
+                      _is_number)
 
 
 def _rng(seed: int) -> np.random.Generator:
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+    if not (_is_number(seed, integral=True) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -47,13 +47,16 @@ def derive_seed(master: int, *parts) -> int:
 
     Strings are folded in via SHA-256 so labels hash identically across
     processes and platforms; distinct tag tuples give independent streams.
+    The master seed and every other tag must be an integer.
     """
+    _check_number("master", master, integral=True)
     ints = [int(master) & 0xFFFFFFFFFFFFFFFF]
     for part in parts:
         if isinstance(part, str):
             digest = hashlib.sha256(part.encode("utf-8")).digest()
             ints.append(int.from_bytes(digest[:8], "little"))
         else:
+            _check_number("parts", part, integral=True)
             ints.append(int(part) & 0xFFFFFFFFFFFFFFFF)
     ss = np.random.SeedSequence(ints)
     return int(ss.generate_state(1, np.uint64)[0])
@@ -126,11 +129,11 @@ class SparseSignal:
 
 @contextmanager
 def _allocating(M: int, N: int):
-    """The block that builds an M x N matrix, for positive M and N.  A
-    matrix too large to allocate raises a ValueError naming M and N
+    """The block that builds an M x N matrix, for positive integers M and
+    N.  A matrix too large to allocate raises a ValueError naming M and N
     instead of numpy's MemoryError."""
-    if M < 1 or N < 1:
-        raise ValueError("M and N must be positive")
+    _check_positive("M", M, integral=True)
+    _check_positive("N", N, integral=True)
     try:
         if int(M) * int(N) > np.iinfo(np.intp).max // 8:
             raise MemoryError  # more bytes than numpy can index
@@ -149,6 +152,7 @@ def _check_family(family: str, N: int, param, name: str) -> None:
     [0, 1), dct F > 0 and finite, with finite phases 2 pi (N-1) / F."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    _check_number(name, param, integral=False)
     if family == "gaussian" and not 0 <= param < 1:
         raise ValueError(f"{name} must lie in [0, 1) for family gaussian, "
                          f"got {param!r}")
@@ -197,7 +201,9 @@ def coherence(A: SensingMatrix | np.ndarray) -> float:
 def gen_signal(N: int, s: int, seed: int) -> SparseSignal:
     """Uniformly random support of size s with i.i.d. standard normal
     nonzeros."""
-    if not (1 <= s <= N):
+    _check_positive("N", N, integral=True)
+    _check_positive("s", s, integral=True)
+    if s > N:
         raise ValueError("sparsity s must satisfy 1 <= s <= N")
     rng = _rng(seed)
     support = rng.choice(N, size=s, replace=False)

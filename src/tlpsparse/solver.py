@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields
-from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -34,23 +33,9 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError, null_space
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrs
 
-from .penalty import (PenaltyParams, _check_exponent, _finite_number,
+from .penalty import (PenaltyParams, _check_exponent, _check_positive, _pow,
                       penalty_lp, penalty_tlp)
 from .sensing import SensingMatrix, _as_matrix
-
-
-def _check_number(name: str, value, integral: bool) -> None:
-    """Integers only if ``integral``, else any real number; bools are
-    neither."""
-    kind, what = (Integral, "an integer") if integral else (Real, "a number")
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-
-
-def _check_positive(name: str, value, integral: bool) -> None:
-    _check_number(name, value, integral)
-    if not (value > 0 and _finite_number(value)):
-        raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -93,11 +78,7 @@ class Schedule:
     def __post_init__(self) -> None:
         for f in fields(Schedule):
             _check_positive(f.name, getattr(self, f.name), f.type == "int")
-        try:
-            floor = float(self.eps0) ** self.kappa
-        except OverflowError:
-            floor = math.inf
-        if not math.isfinite(floor):
+        if not math.isfinite(_pow(float(self.eps0), self.kappa)):
             raise ValueError(f"eps0 ** kappa must be a finite float, got "
                              f"eps0={self.eps0!r}, kappa={self.kappa!r}")
 
@@ -249,10 +230,9 @@ def _cho_factor_spd(B: np.ndarray):
 class _SpdSolver:
     """Solves (A^T A + diag(d)) x = A^T y + v in the m x m dual, d > 0.
 
-    ``y`` is fixed at construction (0 when omitted) and ``solve(v)`` takes
-    the rest of the right-hand side.  The factored matrix is
-    G = I + A D^-1 A^T, and the solve runs in residual form: with
-    r = y - A x,
+    ``y`` is fixed at construction and ``solve(v)`` takes the rest of the
+    right-hand side.  The factored matrix is G = I + A D^-1 A^T, and the
+    solve runs in residual form: with r = y - A x,
 
         G r = y - A D^-1 v,    x = D^-1 (v + A^T r).
 
@@ -266,10 +246,9 @@ class _SpdSolver:
     when M >= N.  ``solve`` returns x and the dual's r = y - A x.
     """
 
-    def __init__(self, A: np.ndarray, d: np.ndarray,
-                 y: np.ndarray | None = None):
+    def __init__(self, A: np.ndarray, d: np.ndarray, y: np.ndarray):
         self._A = A
-        self._y = np.zeros(A.shape[0]) if y is None else y
+        self._y = y
         self._dinv = 1.0 / d
         G = _scaled_gram(A, self._dinv)
         G[np.diag_indices_from(G)] += 1.0
@@ -567,7 +546,9 @@ def irls_constrained(A, y, params: PenaltyParams, s: int,
     ``j_trace`` the matched surrogate value; both include the final point,
     and so does ``eps_trace``, which holds one entry more than
     ``w_inf_trace``.  A step whose weights overflow (a huge ``a``, or a
-    huge y) ends the run with status ``not_finite``.
+    huge y) ends the run with status ``not_finite``.  The status says
+    nothing about feasibility: where no x solves A x = y, the run still
+    ends ``step_converged`` or ``max_iters``, and only ``residual`` shows it.
     """
     A, y = _problem(A, y, s)
     A = A.entries

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .penalty import PenaltyParams, _finite_number, _pow, penalty_tlp
+from .penalty import (PenaltyParams, _check_number, _finite_number, _pow,
+                      penalty_tlp)
 
 #: residual target for the scalar root solve
 _ROOT_RESIDUAL = 1e-12
@@ -86,6 +87,7 @@ def solve_eta0(params: PenaltyParams, gamma: float = 1.0) -> float:
     resolve to the residual target (for tiny p, eta^(2/p) jumps by orders
     of magnitude between adjacent floats near eta = 1) raises ValueError.
     """
+    _check_number("gamma", gamma, integral=False)
     if not (_finite_number(gamma) and gamma >= 1.0):
         raise ValueError(f"gamma must be finite and >= 1, got {gamma!r}")
     p = params.p
@@ -151,6 +153,7 @@ def stability_constants(bound: RipBound, delta2s: float) -> StabilityConstants:
     gamma; c1 is the gamma = 1 specialization and c2 = 2 * c1.  A constant
     that does not fit in a float raises ValueError.
     """
+    _check_number("delta2s", delta2s, integral=False)
     if not (0.0 <= delta2s < bound.delta_bound):
         raise ValueError(
             f"delta2s must lie in [0, {bound.delta_bound:.6g}), got {delta2s}")
@@ -166,9 +169,12 @@ def normalization_beta(params: PenaltyParams, x) -> float:
 
     beta = max(1, a^(-1/p) * ||x||_inf * ((a+1) |supp(x)| - 1)^(1/p)).
     The transformed-lp penalty has no scaling identity, so recovery
-    statements normalize the problem by this constant first.
+    statements normalize the problem by this constant first.  ``x`` must
+    be finite and nonzero.
     """
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     nnz = int(np.count_nonzero(x))
     if nnz == 0:
         raise ValueError("beta is undefined for the zero vector")

@@ -20,6 +20,7 @@ from tlpsparse import sensing
 from tlpsparse.bench import (CSV_HEADER, METHODS, ExperimentPlan,
                              SolverSpec, run_experiment)
 from tlpsparse.cli import _json_indented, build_parser, main, parse_plan_file
+from tlpsparse.penalty import KINDS
 from tlpsparse.sensing import (gen_gaussian, gen_signal, load_matrix_csv,
                                save_matrix_csv)
 from tlpsparse.solver import Schedule
@@ -530,7 +531,8 @@ class TestBench:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid, named", [
-        ({"a_grid": [1.0, -2.0]}, "error: a_grid must be positive\n"),
+        ({"a_grid": [1.0, -2.0]},
+         "error: a_grid must be positive and finite\n"),
         ({"p_grid": [0.7, 1.5]}, "error: p_grid must lie in (0, 1]\n")])
     def test_sweep_grid_range_error_names_the_grid(self, tmp_path, capsys,
                                                    grid, named):
@@ -782,6 +784,15 @@ class TestTheoryCommands:
                      "--N", "512"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(2.5e-3,
                                                                abs=0.05e-3)
+
+    def test_rd_kinds_and_families_are_their_rules(self):
+        # each choice list is the tuple its rule checks against
+        commands = build_parser()._subparsers._group_actions[0].choices
+        choices = {(cmd, action.dest): action.choices
+                   for cmd in ("rd", "gen-matrix")
+                   for action in commands[cmd]._actions}
+        assert choices["rd", "kind"] is KINDS
+        assert choices["gen-matrix", "family"] is sensing.FAMILIES
 
 
 def run_main(argv):

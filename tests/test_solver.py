@@ -234,7 +234,7 @@ class TestSpdSystem:
         d = np.exp(rng.uniform(-1, 1, 50))
         rhs = rng.standard_normal(50)
         x_ref = np.linalg.solve(A.T @ A + np.diag(d), rhs)
-        x, _ = _SpdSolver(A, d).solve(rhs)
+        x, _ = _SpdSolver(A, d, np.zeros(10)).solve(rhs)
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
@@ -726,6 +726,23 @@ class TestIrlsConstrained:
                                    PenaltyParams(1.0, 0.7), 2)
         assert np.all(res.x == 0.0)
         assert (res.status, res.outer_iters) == ("step_converged", 1)
+
+    @pytest.mark.parametrize("A, y, s, status, outer, low, high", [
+        (np.zeros((4, 8)), np.ones(4), 2, "step_converged", 1, 2.0, 2.0),
+        # the least residual any x reaches is sqrt(1/2); where the run ends
+        # above it depends on the BLAS kernel (0.70711 on Haswell, 0.71839
+        # on SkylakeX), since every step factors a singular system
+        ([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]], [1.0, 2.0], 1,
+         "max_iters", 2000, np.sqrt(0.5), 0.72)],
+        ids=["zero-matrix", "repeated-row"])
+    def test_inconsistent_system_shows_only_in_the_residual(
+            self, A, y, s, status, outer, low, high):
+        # no x solves A x = y here, yet the status is one a solved system
+        # can end with; only the residual ||A x - y|| > 0 tells them apart
+        with pytest.warns(RuntimeWarning, match="ridge"):
+            res = irls_constrained(A, y, PenaltyParams(1.0, 0.7), s)
+        assert (res.status, res.outer_iters) == (status, outer)
+        assert low <= res.residual <= high
 
     @pytest.mark.parametrize("M, N, seed, a, scale", [
         (32, 64, 3, 1e308, 1.0), (16, 48, 5, 1.0, 1e160)],

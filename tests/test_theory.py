@@ -259,6 +259,13 @@ class TestNormalizationBeta:
         with pytest.raises(ValueError):
             normalization_beta(PenaltyParams(1.0, 0.5), np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_x(self, bad):
+        # max(1, nan) is 1 and an inf x gives beta = inf; neither is a
+        # rescaling
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            normalization_beta(PenaltyParams(1.0, 0.7), [bad, 1.0])
+
     def test_postcondition_random_sparse(self):
         rng = np.random.default_rng(99)
         for _ in range(10_000):
