@@ -20,10 +20,11 @@ File formats
   entry made from its one solver entry, which sets schedule knobs only.
 
 Exit codes: 0 solver/tool completed (regardless of convergence status),
-2 usage or input error (a ``ValueError`` or ``OSError``), 3 dimension
-mismatch.  Any other exception is a bug and ends in a traceback.
-``solve`` exits 2 rather than write a NaN or infinity.  Bench runs its
-trials serially.
+2 usage or input error (a ``ValueError`` or ``OSError``), 3 a truth or
+measurement length that is not the matrix's N or M, or s >= N (library
+callers get ``tlpsparse.sensing.DimensionError`` for these).  Any other
+exception is a bug and ends in a traceback.  ``solve`` exits 2 rather
+than write a NaN or infinity.  Bench runs its trials serially.
 """
 
 from __future__ import annotations
@@ -40,17 +41,14 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from . import bench as bench_mod
-from .penalty import KINDS, PenaltyParams, _check_positive, relaxation_degree
-from .sensing import (FAMILIES, gen_dct, gen_gaussian, load_matrix_csv,
-                      load_vector, save_matrix_csv)
+from .penalty import KINDS, PenaltyParams, relaxation_degree
+from .sensing import (FAMILIES, DimensionError, _as_vector, gen_dct,
+                      gen_gaussian, load_matrix_csv, load_vector,
+                      save_matrix_csv)
 # irls_* are not called here; benchmarks/tracing.py wraps them at install
 from .solver import (Schedule, irls_constrained,  # noqa: F401
                      irls_lq_baseline, irls_tlp)
 from .theory import rip_bound, stability_constants
-
-
-class DimensionError(ValueError):
-    """Input shapes disagree; maps to exit code 3."""
 
 
 _PLAN_KEYS = [f.name for f in fields(bench_mod.ExperimentPlan)]
@@ -112,7 +110,6 @@ def _solve_spec(args) -> tuple[bench_mod.SolverSpec, int]:
     if "s" not in opts:
         raise ValueError("target sparsity --s is required")
     s = opts.pop("s")
-    _check_positive("s", s, integral=True)
     return _parse_spec(opts, _SOLVE_KEYS, "config"), s
 
 
@@ -123,20 +120,12 @@ def cmd_solve(args) -> int:
 
     truth = None
     if args.truth:
-        truth = load_vector(args.truth)
-        if truth.size != N:
-            raise DimensionError(
-                f"truth vector has length {truth.size}, matrix has N={N}")
+        truth = _as_vector(load_vector(args.truth), N, "truth")
         y = A.entries @ truth
     elif args.measurements:
-        y = load_vector(args.measurements)
-        if y.size != M:
-            raise DimensionError(
-                f"measurement vector has length {y.size}, matrix has M={M}")
+        y = _as_vector(load_vector(args.measurements), M, "measurements")
     else:
         raise ValueError("provide --truth or --measurements")
-    if s >= N:
-        raise DimensionError(f"s={s} must be below N={N}")
 
     t0 = time.perf_counter()
     result = bench_mod.solve(spec, A, y, s)
@@ -377,12 +366,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, DimensionError) else 2
 
 
 if __name__ == "__main__":

@@ -20,6 +20,8 @@ compare and hash by identity; compare their arrays with np.array_equal.
 Every function that takes a matrix uses a SensingMatrix as it is and
 makes any other array one (one copy, in C order), so the matrix rule is
 checked in one place and the caller's memory layout moves no result.
+Every raw vector is checked in one place too, ``_as_vector``, against the
+length the matrix gives it; a wrong shape raises ``DimensionError``.
 """
 
 from __future__ import annotations
@@ -91,6 +93,24 @@ def _as_matrix(A, name: str = "A") -> SensingMatrix:
         return SensingMatrix(entries=A)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
+
+
+class DimensionError(ValueError):
+    """Input shapes disagree; the CLI maps it to exit code 3."""
+
+
+def _as_vector(v, n: int, name: str) -> np.ndarray:
+    """``v`` as floats of shape (n,) with finite entries; a ValueError
+    names ``name``, a DimensionError if the shape is wrong."""
+    try:
+        vec = np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if vec.shape != (n,):
+        raise DimensionError(f"{name} has shape {vec.shape}, expected ({n},)")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} must be finite")
+    return vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,9 +472,7 @@ def load_vector(path: str) -> np.ndarray:
     if not lines:
         raise ValueError(f"no values found in {path}")
     values = _parse_rows(lines, path, 1, first_line=1)[:, 0]
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{path}: values must be finite")
-    return values
+    return _as_vector(values, values.size, f"{path}: values")
 
 
 def _parse_rows(lines, path: str, n: int, first_line: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from scipy.linalg.lapack import dpotrs
 
 from .penalty import (PenaltyParams, _check_exponent, _check_positive, _pow,
                       penalty_lp, penalty_tlp)
-from .sensing import SensingMatrix, _as_matrix
+from .sensing import DimensionError, SensingMatrix, _as_matrix, _as_vector
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -284,22 +284,18 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
     the subproblem has no target sparsity.  ``tol`` defaults to
     cfg.inner_tol; ``irls_tlp`` passes the eps-tied tolerance of
     ``Schedule``.  The recorded f_w values are nonincreasing (both split
-    halves are strongly convex with modulus >= 2c).  ``y`` must be a
-    finite vector of length M and ``w`` one of length N with finite
-    entries > 0; a ValueError names the one that is not.
+    halves are strongly convex with modulus >= 2c).  ``y`` and ``w`` are
+    vectors of length M and N by the rule of :mod:`tlpsparse.sensing`, w > 0
+    and ``tol`` positive and finite; a ValueError names the one that is not.
     """
     A = _as_matrix(A).entries
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    for name, vec, n in (("y", y, A.shape[0]), ("w", w, A.shape[1])):
-        if vec.shape != (n,):
-            raise ValueError(f"{name} has shape {vec.shape}, expected ({n},)")
-    if not np.isfinite(y).all():
-        raise ValueError("y must be finite")
-    if not (w > 0).all() or not np.isfinite(w).all():  # a NaN fails w > 0
-        raise ValueError("weights w must be strictly positive and finite")
+    y = _as_vector(y, A.shape[0], "y")
+    w = _as_vector(w, A.shape[1], "weights w")
+    if not (w > 0).all():
+        raise ValueError("weights w must be strictly positive")
     if tol is None:
         tol = cfg.inner_tol
+    _check_positive("tol", tol, integral=False)
     a, p = params.a, params.p
     lam, c = cfg.lam, cfg.c
     coef = 2.0 * lam * (a + 1.0) / a
@@ -333,17 +329,13 @@ def dca_subproblem(A, y, params: PenaltyParams, w: np.ndarray,
 
 
 def _problem(A, y, s: int) -> tuple[SensingMatrix, np.ndarray]:
-    """A as a SensingMatrix, y as floats, checked against each other and s."""
+    """A and y by :mod:`tlpsparse.sensing`'s rules; s >= N a DimensionError."""
     _check_positive("s", s, integral=True)
     A = _as_matrix(A)
-    y = np.asarray(y, dtype=float)
     M, N = A.shape
-    if y.ndim != 1 or y.size != M:
-        raise ValueError(f"y has length {y.size}, expected {M}")
+    y = _as_vector(y, M, "y")
     if s >= N:
-        raise ValueError(f"target sparsity s={s} must be below N={N}")
-    if not np.isfinite(y).all():
-        raise ValueError("y must be finite")
+        raise DimensionError(f"target sparsity s={s} must be below N={N}")
     return A, y
 
 
@@ -540,7 +532,7 @@ def irls_constrained(A, y, params: PenaltyParams, s: int,
     surrogate functional over {Ax = y} (null-space parameterization,
     warm-started at the previous iterate and at the frozen-weight
     candidate, best kept), which guarantees the recorded surrogate values
-    never increase.
+    never increase.  ``exact_update`` must be a bool.
 
     ``objective_trace`` records the penalty value per outer iterate and
     ``j_trace`` the matched surrogate value; both include the final point,
@@ -550,6 +542,9 @@ def irls_constrained(A, y, params: PenaltyParams, s: int,
     nothing about feasibility: where no x solves A x = y, the run still
     ends ``step_converged`` or ``max_iters``, and only ``residual`` shows it.
     """
+    if not isinstance(exact_update, bool):
+        raise ValueError(f"exact_update must be true or false, got "
+                         f"{exact_update!r}")
     A, y = _problem(A, y, s)
     A = A.entries
     a, p = params.a, params.p

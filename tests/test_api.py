@@ -10,9 +10,11 @@ import pytest
 
 import tlpsparse
 from tlpsparse import (PenaltyParams, dca_subproblem, derive_seed, gen_dct,
-                       gen_gaussian, gen_signal, irls_tlp, penalty_lp,
+                       gen_gaussian, gen_signal, irls_constrained,
+                       irls_lq_baseline, irls_tlp, penalty_lp,
                        rd_numeric_oracle, relaxation_degree, rip_bound,
                        stability_constants)
+from tlpsparse.sensing import DimensionError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -92,3 +94,57 @@ def test_bad_scalars_fail_by_name(entry, bad):
     call, name, _ = SCALAR_ARGS[entry]
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must "):
         call(bad)
+
+
+A4x8 = gen_gaussian(4, 8, 0.0, 1)
+# entry point -> (the call with one vector argument v, the name its error
+# gives v, the length v must have)
+VECTOR_ARGS = {
+    "irls_tlp.y": (lambda v: irls_tlp(A4x8, v, P, 1), "y", 4),
+    "irls_lq_baseline.y": (lambda v: irls_lq_baseline(A4x8, v, 0.5, 1), "y",
+                           4),
+    "irls_constrained.y": (lambda v: irls_constrained(A4x8, v, P, 1), "y", 4),
+    "dca_subproblem.y": (lambda v: dca_subproblem(A4x8, v, P, np.ones(8)),
+                         "y", 4),
+    "dca_subproblem.w": (lambda v: dca_subproblem(A4x8, np.ones(4), P, v),
+                         "weights w", 8),
+}
+# label -> (the bad vector for length n, the error it raises, its message)
+BAD_VECTORS = {
+    "row": (lambda n: np.ones((1, n)), DimensionError,
+            "{name} has shape (1, {n}), expected ({n},)"),
+    "None": (lambda n: None, DimensionError,
+             "{name} has shape (), expected ({n},)"),
+    "str": (lambda n: "abc", ValueError,
+            "{name}: could not convert string to float: 'abc'"),
+    "short": (lambda n: np.ones(n - 1), DimensionError,
+              "{name} has shape ({m},), expected ({n},)"),
+    "nan": (lambda n: np.r_[np.ones(n - 1), np.nan], ValueError,
+            "{name} must be finite"),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    pytest.param(entry, label, id=f"{entry}-{label}")
+    for entry in VECTOR_ARGS for label in BAD_VECTORS])
+def test_bad_vectors_fail_by_name(entry, bad):
+    # 2-D y of M values used to pass the solvers' length test and fail as
+    # "y has length 8, expected 8"; "abc" failed without naming y
+    call, name, n = VECTOR_ARGS[entry]
+    make, error, says = BAD_VECTORS[bad]
+    says = says.format(name=name, n=n, m=n - 1)
+    with pytest.raises(ValueError, match=f"^{re.escape(says)}$") as exc:
+        call(make(n))
+    # a shape fault is a DimensionError, and nothing else is
+    assert exc.type is error
+
+
+@pytest.mark.parametrize("solve", [
+    lambda y: irls_tlp(A4x8, y, P, 8),
+    lambda y: irls_lq_baseline(A4x8, y, 0.5, 8),
+    lambda y: irls_constrained(A4x8, y, P, 8)],
+    ids=["irls_tlp", "irls_lq_baseline", "irls_constrained"])
+def test_s_not_below_n_is_a_dimension_error(solve):
+    with pytest.raises(DimensionError,
+                       match="^target sparsity s=8 must be below N=8$"):
+        solve(np.ones(4))

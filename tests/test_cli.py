@@ -122,16 +122,26 @@ class TestSolve:
     def test_dimension_mismatch_exit_3(self, tmp_path, identity_matrix):
         y = tmp_path / "y.txt"
         write_vector(y, [1.0, 0.0, 0.0])
-        code = main(["solve", "--matrix", str(identity_matrix),
-                     "--measurements", str(y), "--s", "1"])
-        assert code == 3
+        code, out, err = run_main(["solve", "--matrix", str(identity_matrix),
+                                   "--measurements", str(y), "--s", "1"])
+        assert (code, out) == (3, "")
+        assert err == "error: measurements has shape (3,), expected (4,)\n"
+
+    def test_truth_length_mismatch_exit_3(self, tmp_path, identity_matrix):
+        x0 = tmp_path / "x0.txt"
+        write_vector(x0, [1.0, 0.0, 0.0, 0.0, 0.0])
+        code, out, err = run_main(["solve", "--matrix", str(identity_matrix),
+                                   "--truth", str(x0), "--s", "1"])
+        assert (code, out) == (3, "")
+        assert err == "error: truth has shape (5,), expected (4,)\n"
 
     def test_s_too_large_exit_3(self, tmp_path, identity_matrix):
         y = tmp_path / "y.txt"
         write_vector(y, [1.0, 0.0, 0.0, 0.0])
-        code = main(["solve", "--matrix", str(identity_matrix),
-                     "--measurements", str(y), "--s", "4"])
-        assert code == 3
+        code, out, err = run_main(["solve", "--matrix", str(identity_matrix),
+                                   "--measurements", str(y), "--s", "4"])
+        assert (code, out) == (3, "")
+        assert err == "error: target sparsity s=4 must be below N=4\n"
 
     def test_missing_s_exit_2(self, tmp_path, identity_matrix, capsys):
         y = tmp_path / "y.txt"

@@ -164,6 +164,13 @@ class TestDcaSubproblem:
             dca_subproblem(np.eye(3), np.asarray(y), PenaltyParams(1, 0.7),
                            np.asarray(w))
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, "a", True])
+    def test_bad_tol_is_named(self, tol):
+        # a negative or NaN tol used to run every inner step unconverged
+        with pytest.raises(ValueError, match="^tol must be "):
+            dca_subproblem(np.eye(3), np.ones(3), PenaltyParams(1, 0.7),
+                           np.ones(3), tol=tol)
+
     @pytest.mark.parametrize("family", ["gaussian", "dct"])
     def test_bit_identical_to_unfused_loop(self, family):
         # the fused step must reproduce, bit for bit, the loop built from
@@ -704,6 +711,14 @@ class TestIrlsConstrained:
                                exact_update=True)
         assert np.allclose(res.x, y, atol=1e-8)
         assert res.total_inner_iters == res.outer_iters
+
+    @pytest.mark.parametrize("flag", ["no", 0.5, 1, None])
+    def test_exact_update_takes_a_bool_only(self, flag):
+        # a truthy non-bool used to run the L-BFGS polish
+        with pytest.raises(ValueError, match=re.escape(
+                f"exact_update must be true or false, got {flag!r}")):
+            irls_constrained(np.eye(3), np.ones(3), PenaltyParams(1.0, 0.7),
+                             2, exact_update=flag)
 
     def test_inner_iters_count_solves_and_polish_iterations(self):
         # one weighted least-squares solve per step, plus the L-BFGS
